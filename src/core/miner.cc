@@ -16,8 +16,15 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-}  // namespace
+/// The global score memo and the frontier-set shapes.
+using PatternScoreMap = std::unordered_map<Pattern, double, PatternHash>;
+using PatternSet = std::unordered_set<Pattern, PatternHash>;
 
+/// Recomputes the high set H and the retained queue Q from the global
+/// score memo under threshold `omega` (§4.1): a pattern is high iff its
+/// memoized NM (or pruned upper bound) reaches ω, and it is retained iff
+/// it is high, singular, or a 1-extension of a high pattern (Lemma 1).
+/// `queue` comes back sorted, so iteration order is deterministic.
 void RebuildFrontier(const PatternScoreMap& scores, double omega,
                      PatternSet* high, std::vector<Pattern>* queue) {
   TP_TRACE_SPAN("miner/rebuild");
@@ -40,6 +47,15 @@ void RebuildFrontier(const PatternScoreMap& scores, double omega,
   TP_TRACE_COUNTER("miner/queue_depth", static_cast<double>(queue->size()));
 }
 
+/// One iteration's candidate generation (§4 extension step, §5 wildcard
+/// joiners, beam fallback): every high pattern concatenated with every
+/// retained pattern in both orders, the frontier rule skipping pairs
+/// whose halves were both present last round, deduplicated against the
+/// memo and within the batch.  In beam mode
+/// (`options.max_candidates_per_iteration > 0`) the staged set is
+/// truncated to the best min-max bounds, round-robined across length
+/// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
+/// the output order is a pure function of the inputs.
 std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
                                         const PatternScoreMap& scores,
                                         const PatternSet& high,
@@ -183,31 +199,7 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   return candidates;
 }
 
-MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
-                                   double omega,
-                                   const PatternScoreMap& scores,
-                                   const PatternSet& prev_high,
-                                   const PatternSet& prev_queue,
-                                   int64_t candidates_evaluated,
-                                   int64_t candidates_pruned) {
-  MinerCheckpoint cp;
-  cp.iteration = completed_iterations;
-  cp.k = k;
-  cp.omega = omega;
-  cp.scores.reserve(scores.size());
-  for (const auto& [p, nm] : scores) cp.scores.push_back({p, nm});
-  std::sort(cp.scores.begin(), cp.scores.end(),
-            [](const ScoredPattern& a, const ScoredPattern& b) {
-              return a.pattern < b.pattern;
-            });
-  cp.prev_high.assign(prev_high.begin(), prev_high.end());
-  std::sort(cp.prev_high.begin(), cp.prev_high.end());
-  cp.prev_queue.assign(prev_queue.begin(), prev_queue.end());
-  std::sort(cp.prev_queue.begin(), cp.prev_queue.end());
-  cp.candidates_evaluated = candidates_evaluated;
-  cp.candidates_pruned = candidates_pruned;
-  return cp;
-}
+}  // namespace
 
 TrajPatternMiner::TrajPatternMiner(const NmEngine* engine,
                                    const MinerOptions& options)
@@ -274,10 +266,23 @@ MinerCheckpoint TrajPatternMiner::MakeCheckpoint(
     int completed_iterations,
     const std::unordered_set<Pattern, PatternHash>& prev_high,
     const std::unordered_set<Pattern, PatternHash>& prev_queue) const {
-  return MakeBaseCheckpoint(completed_iterations, options_.k, top_k_.Omega(),
-                            scores_, prev_high, prev_queue,
-                            stats_.candidates_evaluated,
-                            stats_.candidates_pruned);
+  MinerCheckpoint cp;
+  cp.iteration = completed_iterations;
+  cp.k = options_.k;
+  cp.omega = top_k_.Omega();
+  cp.scores.reserve(scores_.size());
+  for (const auto& [p, nm] : scores_) cp.scores.push_back({p, nm});
+  std::sort(cp.scores.begin(), cp.scores.end(),
+            [](const ScoredPattern& a, const ScoredPattern& b) {
+              return a.pattern < b.pattern;
+            });
+  cp.prev_high.assign(prev_high.begin(), prev_high.end());
+  std::sort(cp.prev_high.begin(), cp.prev_high.end());
+  cp.prev_queue.assign(prev_queue.begin(), prev_queue.end());
+  std::sort(cp.prev_queue.begin(), cp.prev_queue.end());
+  cp.candidates_evaluated = stats_.candidates_evaluated;
+  cp.candidates_pruned = stats_.candidates_pruned;
+  return cp;
 }
 
 MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
@@ -289,7 +294,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // the scoring hot path and never perturbs the top-k.
   obs::RunJournal& journal = obs::RunJournal::Global();
   const int64_t jrun =
-      journal.BeginRun(options_.k, /*num_shards=*/0, resume != nullptr);
+      journal.BeginRun(options_.k, resume != nullptr);
 
   if (resume != nullptr) {
     // Restore the score memo and re-derive the top-k/ω from it (the k
@@ -399,8 +404,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     TP_COUNTER_INC("miner.iterations");
     ++stats_.iterations;
 
-    // Candidate generation (shared with the sharded miner — see
-    // `GenerateCandidates`): H x Q in both orders under the frontier
+    // Candidate generation: H x Q in both orders under the frontier
     // rule, wildcard joiners, and the beam fallback.
     std::vector<Pattern> candidates =
         GenerateCandidates(options_, scores_, high, queue, prev_high,
@@ -521,11 +525,6 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
 MiningResult MineTrajPatterns(const NmEngine& engine,
                               const MinerOptions& options,
                               const MinerCheckpoint* resume) {
-  if (options.num_shards > 0) {
-    // The sharded path (src/shard) produces the bit-identical top-k via
-    // N candidate-partitioned shards and a merging coordinator.
-    return MineShardedDispatch(engine, options, resume);
-  }
   TrajPatternMiner miner(&engine, options);
   return resume != nullptr ? miner.Mine(*resume) : miner.Mine();
 }

@@ -23,22 +23,6 @@ namespace trajpattern {
 /// candidate generation ran over) and are therefore stored explicitly.
 /// Serialized by `WriteMinerCheckpoint` / `ReadMinerCheckpoint` (src/io).
 struct MinerCheckpoint {
-  /// Per-shard slice of a sharded run's resumable state (empty for the
-  /// unsharded miner).  The shard-local top-k heaps themselves are
-  /// re-derived on resume from the global score memo plus the stable
-  /// candidate->shard hash, so a slice only carries the shard's
-  /// inspection ω and its cumulative work counters — what a resumed run
-  /// needs to keep reporting whole-run per-shard statistics.
-  struct ShardSlice {
-    int shard_id = 0;
-    /// Shard-local ω (the shard's own top-k threshold) at checkpoint
-    /// time; informational (re-derived from the memo on resume).
-    double omega = -std::numeric_limits<double>::infinity();
-    int64_t candidates_evaluated = 0;
-    int64_t candidates_pruned = 0;
-    int64_t trajectories_skipped = 0;
-  };
-
   /// Completed grow iterations — the current length level: after level n
   /// the longest candidates generated have ~2^n positions.
   int iteration = 0;
@@ -59,9 +43,6 @@ struct MinerCheckpoint {
   /// post-resume slice.  Absent from v1 checkpoint files (read as 0).
   int64_t candidates_evaluated = 0;
   int64_t candidates_pruned = 0;
-  /// Sharded runs: one slice per shard, in shard-id order (empty for
-  /// unsharded runs; serialized as checkpoint format v3 when present).
-  std::vector<ShardSlice> shards;
 };
 
 /// Knobs of the TrajPattern algorithm (§4, §5).
@@ -127,41 +108,6 @@ struct MinerOptions {
   /// bit-identical to serial scoring for any thread count, so this knob
   /// changes wall-clock only — never the mined answer.
   int num_threads = 1;
-
-  /// In-process mining shards (0 = the classic single-miner path,
-  /// untouched).  With N >= 1, `MineTrajPatterns` routes to the sharded
-  /// miner (src/shard): candidates are partitioned across N shards by a
-  /// stable content hash, each shard owns its own column arena, warm-up,
-  /// and streaming scoring, and a coordinator merges the per-shard
-  /// results into one global top-k after every scoring round.  Every
-  /// candidate is scored whole by exactly one shard, so the global top-k
-  /// is bit-identical to the unsharded run at any shard count.  The run
-  /// context fans out: cancellation/deadline are shared, and a memory
-  /// budget is split evenly across the shard arenas.
-  int num_shards = 0;
-
-  /// Cross-shard ω exchange (sharded runs only).  ON: the coordinator
-  /// broadcasts the merged *global* ω back to every shard, so
-  /// `NmTotalBatch(prune_below = ω_global)` early-abandons across the
-  /// whole cluster; OFF: each shard prunes with its own local top-k ω
-  /// only.  The global ω is always >= any shard-local ω, so exchange
-  /// prunes at least as much — and the same monotone-upper-bound
-  /// argument as `omega_pruning` keeps the answer exact either way.
-  /// Takes effect only when `omega_pruning` is also on.
-  bool omega_exchange = true;
-
-  /// Salt mixed into the candidate->shard hash.  Changing it reshuffles
-  /// the shard assignment (the fuzz oracle uses this to prove the answer
-  /// does not depend on who scores what); the mined top-k is invariant.
-  uint64_t shard_salt = 0;
-
-  /// Sharded runs score each iteration's candidates in rounds of at most
-  /// this many candidates per shard; the coordinator merges heaps and
-  /// re-tightens ω between rounds, which is what lets the exchange prune
-  /// *within* an iteration (including the initial singular batch, which
-  /// the unsharded miner always scores unpruned).  Smaller rounds
-  /// exchange more often at more merge overhead.
-  size_t shard_round_size = 256;
 
   /// Called after every grow iteration with the resumable mining state
   /// (long runs checkpoint here; see `WriteMinerCheckpointFile`).  Return
@@ -263,60 +209,8 @@ class TrajPatternMiner {
   MinerStats stats_;
 };
 
-/// The global score memo / frontier-set shapes shared by the single
-/// miner and the sharded miner (src/shard).
-using PatternScoreMap = std::unordered_map<Pattern, double, PatternHash>;
-using PatternSet = std::unordered_set<Pattern, PatternHash>;
-
-/// Recomputes the high set H and the retained queue Q from the global
-/// score memo under threshold `omega` (§4.1): a pattern is high iff its
-/// memoized NM (or pruned upper bound) reaches ω, and it is retained iff
-/// it is high, singular, or a 1-extension of a high pattern (Lemma 1).
-/// `queue` comes back sorted, so iteration order is deterministic.
-/// Shared by both miners — the sharded run classifies against the
-/// *global* ω and therefore rebuilds the exact same frontier.
-void RebuildFrontier(const PatternScoreMap& scores, double omega,
-                     PatternSet* high, std::vector<Pattern>* queue);
-
-/// One iteration's candidate generation (§4 extension step, §5 wildcard
-/// joiners, beam fallback): every high pattern concatenated with every
-/// retained pattern in both orders, the frontier rule skipping pairs
-/// whose halves were both present last round, deduplicated against the
-/// memo and within the batch.  In beam mode
-/// (`options.max_candidates_per_iteration > 0`) the staged set is
-/// truncated to the best min-max bounds, round-robined across length
-/// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
-/// the output order is a pure function of the inputs.
-std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
-                                        const PatternScoreMap& scores,
-                                        const PatternSet& high,
-                                        const std::vector<Pattern>& queue,
-                                        const PatternSet& prev_high,
-                                        const PatternSet& prev_queue,
-                                        bool* hit_candidate_cap);
-
-/// Assembles the version-agnostic core of a checkpoint (sorted memo +
-/// frontier snapshots + global counters); sharded callers append their
-/// `ShardSlice`s afterwards.
-MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
-                                   double omega,
-                                   const PatternScoreMap& scores,
-                                   const PatternSet& prev_high,
-                                   const PatternSet& prev_queue,
-                                   int64_t candidates_evaluated,
-                                   int64_t candidates_pruned);
-
-/// The sharded mining path (`MinerOptions::num_shards >= 1`), defined in
-/// src/shard/sharded_miner.cc; `MineTrajPatterns` routes here so every
-/// caller — CLI, supervisor, benches — gains sharding through one knob.
-MiningResult MineShardedDispatch(const NmEngine& engine,
-                                 const MinerOptions& options,
-                                 const MinerCheckpoint* resume);
-
 /// Convenience wrapper: builds an engine-backed miner and runs it; pass a
-/// `resume` checkpoint to continue an earlier (aborted) run.  With
-/// `options.num_shards >= 1` the run is executed by the sharded miner
-/// (bit-identical answer; see src/shard).
+/// `resume` checkpoint to continue an earlier (aborted) run.
 MiningResult MineTrajPatterns(const NmEngine& engine,
                               const MinerOptions& options,
                               const MinerCheckpoint* resume = nullptr);

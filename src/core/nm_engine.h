@@ -13,7 +13,6 @@
 #include "core/pattern.h"
 #include "parallel/thread_pool.h"
 #include "stats/mining_counters.h"
-#include "storage/page_store.h"
 #include "trajectory/trajectory.h"
 
 namespace trajpattern {
@@ -207,9 +206,6 @@ class NmEngine {
     /// Columns shed (LRU, excluding ones this request touched) to fit
     /// the run's memory budget.
     size_t evicted = 0;
-    /// Of the misses, columns faulted back in from the attached column
-    /// store (see `AttachColumnStore`) instead of being recomputed.
-    size_t faulted = 0;
     /// Why the warm-up stopped early (`kNone` == it completed).  On a
     /// stop nothing half-filled is published: columns that finished
     /// before the stop are installed, the rest stay cold, and the
@@ -282,22 +278,6 @@ class NmEngine {
   void set_alloc_fault_hook(std::function<bool(size_t)> hook) {
     alloc_fault_hook_ = std::move(hook);
   }
-
-  /// Attaches an out-of-core backing store for evicted columns (nullptr
-  /// detaches).  With a store attached, the PR 7 eviction path becomes
-  /// "spill + free" instead of "free": a column evicted for the first
-  /// time is serialized (hexfloat, bit-exact round-trip) into one store
-  /// record, and a later warm-up of the same cell faults the record back
-  /// in through the store's buffer pool instead of recomputing the
-  /// column.  Columns are pure functions of (cell, dataset, space) and
-  /// the codec round-trips every IEEE double bit-exactly, so scores are
-  /// bit-identical with or without a store — spill I/O failures
-  /// self-heal by recomputation.  The store must outlive the engine (or
-  /// a detach) and is used only from the serial warm-up phase.
-  void AttachColumnStore(storage::PageStore* store);
-  /// Columns spilled to / faulted in from the attached store (lifetime).
-  size_t columns_spilled() const { return columns_spilled_; }
-  size_t columns_faulted() const { return columns_faulted_; }
 
  private:
   /// Per-lane scratch reused across calls so the hot loops never
@@ -412,15 +392,6 @@ class NmEngine {
                                  double prune_below, KernelFn kernel,
                                  const RunContext* run) const;
 
-  /// Reads `cell`'s spilled column from the attached store into `out`
-  /// (a pre-reserved slab).  False — caller recomputes — when the cell
-  /// was never spilled or the read/decode fails.
-  bool FaultColumnIn(CellId cell, double* out) const;
-
-  /// Spills the resident column of (`cell`, `slot`) to the attached
-  /// store, once per cell; no-op if already spilled or on I/O failure.
-  void SpillColumn(CellId cell, int32_t slot) const;
-
   /// Evicts up to `count` resident columns, least-recently-used first
   /// (ties broken by CellId for determinism), skipping columns stamped
   /// with the in-progress request's `protect_tick`.  Freed slabs go to
@@ -477,15 +448,6 @@ class NmEngine {
   mutable uint64_t warm_tick_ = 0;
   /// Lifetime count of budget evictions (for stats/benches).
   mutable size_t cells_evicted_ = 0;
-  /// Out-of-core column backing (nullptr = evictions discard, the
-  /// RAM-only behavior).  See `AttachColumnStore`.
-  storage::PageStore* column_store_ = nullptr;
-  /// Dense CellId -> store record of the cell's spilled column
-  /// (`storage::kNewRecord` = never spilled).  Spills are write-once:
-  /// the column never changes, so the record never rewrites.
-  mutable std::vector<storage::RecordId> cell_record_;
-  mutable size_t columns_spilled_ = 0;
-  mutable size_t columns_faulted_ = 0;
   /// Test hook simulating arena allocation failure (see setter).
   std::function<bool(size_t)> alloc_fault_hook_;
   /// Column length: one double per flattened snapshot.

@@ -23,15 +23,11 @@ namespace trajpattern {
 ///   <cells>                                                x count
 ///   prev_queue,<count>
 ///   <cells>                                                x count
-///   shards,<count>                                          (v3 only)
-///   <shard_id>,<hexfloat omega>,<evaluated>,<pruned>,<skipped> x count
 ///   end
 ///
 /// The reader accepts v1 files (written before the cumulative work
-/// counters existed; counters load as 0), v2, and v3.  The writer emits
-/// v3 only when the checkpoint carries shard slices (a sharded run —
-/// see src/shard); unsharded checkpoints stay v2 byte-for-byte.  NM
-/// values are written as C99 hexfloats (`%a`), which round-trip IEEE
+/// counters existed; counters load as 0) and v2; the writer emits v2.
+/// NM values are written as C99 hexfloats (`%a`), which round-trip IEEE
 /// doubles bit-exactly (including -inf) — the property the resumed-run
 /// bit-identity guarantee rests on.  Unknown versions and truncated
 /// files are rejected with a typed error, never half-loaded.

@@ -4,34 +4,32 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
+#include <chrono>
 #include <cstring>
 #include <vector>
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/page_store.h"
 
 namespace trajpattern {
 namespace {
 
 using obs::MetricsRegistry;
-using obs::MetricsSnapshot;
 using obs::RunJournal;
 using obs::RunSnapshot;
 using obs::TraceRecorder;
 
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+/// Per-connection receive/send deadline.  The single serve thread
+/// handles one connection at a time, so a peer that connects and then
+/// stalls may hold it for at most this long (twice, for a peer that
+/// trickles bytes just under the receive timeout) before the connection
+/// is dropped and `accept` resumes.
+constexpr std::chrono::milliseconds kConnectionDeadline{1000};
 
 std::string HttpResponse(int code, const char* reason,
                          const char* content_type, const std::string& body) {
@@ -43,48 +41,6 @@ std::string HttpResponse(int code, const char* reason,
   return out;
 }
 
-/// Pulls the `shard.*` metric family out of a registry snapshot: the
-/// exchanged global ω, each shard's last local ω (the PR 8 gauges), and
-/// the merge-latency histogram — the "which shard is lagging" view.
-void AppendShardsJson(const MetricsSnapshot& snap, std::string* out) {
-  *out += "{\"global_omega\": ";
-  auto global = snap.gauges.find("shard.global_omega");
-  *out += global == snap.gauges.end() ? "null" : Num(global->second);
-
-  *out += ", \"merge_latency_ms\": ";
-  auto hist = snap.histograms.find("shard.merge_latency_ms");
-  if (hist == snap.histograms.end() || hist->second.count == 0) {
-    *out += "null";
-  } else {
-    *out += "{\"count\": " + std::to_string(hist->second.count) +
-            ", \"sum\": " + Num(hist->second.sum) +
-            ", \"mean\": " + Num(hist->second.sum / hist->second.count) + "}";
-  }
-
-  *out += ", \"per_shard\": [";
-  bool first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    // "shard.<s>.omega" with a purely numeric <s>.
-    if (name.rfind("shard.", 0) != 0) continue;
-    const size_t dot = name.find('.', 6);
-    if (dot == std::string::npos || name.substr(dot) != ".omega") continue;
-    const std::string id = name.substr(6, dot - 6);
-    if (id.empty() ||
-        id.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    if (!first) *out += ", ";
-    first = false;
-    *out += "{\"shard\": " + id + ", \"omega\": " + Num(value);
-    auto pruned = snap.counters.find("shard." + id + ".candidates_pruned");
-    if (pruned != snap.counters.end()) {
-      *out += ", \"candidates_pruned\": " + std::to_string(pruned->second);
-    }
-    *out += "}";
-  }
-  *out += "]}";
-}
-
 }  // namespace
 
 std::string StatusServer::RunzJson() {
@@ -94,14 +50,7 @@ std::string StatusServer::RunzJson() {
     if (i != 0) out += ",\n";
     obs::AppendRunSnapshotJson(runs[i], &out);
   }
-  out += "\n],\n\"shards\": ";
-  AppendShardsJson(MetricsRegistry::Global().Snapshot(), &out);
-  // The storage registry is always on (it does not depend on
-  // TRAJPATTERN_OBS), so /runz shows buffer-pool behavior even in
-  // obs-off builds.
-  out += ",\n\"storage\": ";
-  storage::AppendStorageStatsJson(&out);
-  out += ",\n\"journal_events\": " +
+  out += "\n],\n\"journal_events\": " +
          std::to_string(RunJournal::Global().events_emitted());
   out += "\n}\n";
   return out;
@@ -184,18 +133,42 @@ void StatusServer::Serve() {
       if (listen_fd_.load() < 0) return;
       continue;
     }
+    // Bound every blocking call on this connection, so an idle or
+    // trickling peer cannot stall the serve thread (and with it /healthz
+    // and Stop()).
+    timeval tv;
+    tv.tv_sec = kConnectionDeadline.count() / 1000;
+    tv.tv_usec = (kConnectionDeadline.count() % 1000) * 1000;
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    const auto deadline =
+        std::chrono::steady_clock::now() + kConnectionDeadline;
     // Read the request head.  One recv is almost always the whole "GET
     // /path HTTP/1.x" head; keep reading until the blank line that ends
     // it ("\r\n\r\n", not the first "\r\n" — curl and browsers send
     // several header lines, often across packets), capped at 16 KiB.
-    // EINTR is a retry, not a dropped connection.
+    // EINTR is a retry, not a dropped connection; a timeout or an
+    // expired deadline drops the connection without a reply.
     std::string req;
     char buf[2048];
+    bool timed_out = false;
     while (req.find("\r\n\r\n") == std::string::npos && req.size() < 16384) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        timed_out = true;
+        break;
+      }
       const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
       if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        timed_out = true;
+        break;
+      }
       if (n <= 0) break;
       req.append(buf, static_cast<size_t>(n));
+    }
+    if (timed_out) {
+      ::close(conn);
+      continue;
     }
     std::string path = "/";
     const size_t sp1 = req.find(' ');

@@ -26,14 +26,14 @@ struct StatusServerOptions {
 ///   /metrics  - Prometheus text exposition of the global registry
 ///   /runz     - JSON of the journal's run table (per-run ω, iteration,
 ///               candidates evaluated/pruned, frontier depth, checkpoint
-///               age, StopReason) plus per-shard ω and merge-latency lag
-///               from the shard gauges
+///               age, StopReason)
 ///   /tracez   - Chrome trace_event JSON dump of the TraceRecorder
 ///
-/// One accept thread handles requests serially; every handler reads
-/// point-in-time snapshots of the global recorders, so serving never
-/// blocks mining and is safe while a RunContext cancels the run being
-/// inspected.  `Start` also activates the journal's live run tracking so
+/// One accept thread handles requests serially, each connection under a
+/// fixed receive/send deadline (an idle client is dropped, not waited
+/// on); every handler reads point-in-time snapshots of the global
+/// recorders, so serving never blocks mining and is safe while a
+/// RunContext cancels the run being inspected.  `Start` also activates the journal's live run tracking so
 /// `/runz` has data even when no JSONL file was requested.
 class StatusServer {
  public:
@@ -45,7 +45,8 @@ class StatusServer {
   /// Binds and starts the accept thread.  Error if already running or if
   /// the socket setup fails (port in use, ...).
   Status Start(const StatusServerOptions& options);
-  /// Stops accepting and joins the thread; idempotent.
+  /// Stops accepting and joins the thread; idempotent.  A client holding
+  /// an idle connection delays this by at most the connection deadline.
   void Stop();
   bool running() const { return listen_fd_.load() >= 0; }
   /// The bound port (the resolved one when options.port was 0).
@@ -56,7 +57,7 @@ class StatusServer {
   /// for tests so handlers are coverable without sockets.
   static std::string HandlePath(const std::string& path);
 
-  /// The `/runz` document: {"runs": [...], "shards": {...}}.
+  /// The `/runz` document: {"runs": [...], "journal_events": N}.
   static std::string RunzJson();
 
  private:

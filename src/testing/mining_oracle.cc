@@ -58,7 +58,6 @@ std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
   std::ostringstream v1;
   std::string line;
   size_t line_no = 0;
-  bool in_shards_block = false;
   while (std::getline(in, line)) {
     ++line_no;
     if (line_no == 1) {
@@ -69,10 +68,6 @@ std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
         line.rfind("candidates_pruned,", 0) == 0) {
       continue;  // the fields v1 predates
     }
-    // The v3 `shards` block (header + per-shard rows) sits immediately
-    // before `end`; v1 predates all of it.
-    if (line.rfind("shards,", 0) == 0) in_shards_block = true;
-    if (in_shards_block && line != "end") continue;
     v1 << line << "\n";
   }
   return v1.str();
@@ -545,91 +540,6 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
                " != uninterrupted " +
                std::to_string(ref.stats.candidates_evaluated);
       }
-      if (!diff.empty()) {
-        fail(diff);
-        return report;
-      }
-    }
-  }
-
-  // --- Oracle (f), sharded mining vs the single-miner reference.  Every
-  // candidate is scored whole by exactly one shard, so the global top-k
-  // must be bit-identical for any shard count, any shard assignment
-  // (salt), and with the cross-shard ω exchange on or off.  The small
-  // round size on the exchange-on variant forces mid-iteration merges so
-  // the broadcast path actually runs.
-  if (inst.num_shards >= 2) {
-    report.sharded_checked = true;
-    struct Variant {
-      const char* what;
-      uint64_t salt;
-      bool exchange;
-      size_t round_size;
-    };
-    const Variant variants[] = {
-        {"sharded exchange-on", inst.shard_salt, true, 4},
-        {"sharded exchange-off", inst.shard_salt, false, 256},
-        {"sharded shuffled-salt", inst.shard_salt ^ 0x5bd1e9955bd1e995ULL,
-         true, 256},
-    };
-    for (const Variant& v : variants) {
-      MinerOptions opt = base;
-      opt.num_shards = inst.num_shards;
-      opt.shard_salt = v.salt;
-      opt.omega_pruning = true;
-      opt.omega_exchange = v.exchange;
-      opt.shard_round_size = v.round_size;
-      opt.num_threads = inst.num_threads;
-      NmEngine engine(data, space);
-      const MiningResult sharded = MineTrajPatterns(engine, opt);
-      ++report.mining_runs;
-      const std::string diff =
-          DiffTopK(std::string(v.what) + " vs single-miner top-k",
-                   sharded.patterns, ref.patterns);
-      if (!diff.empty()) {
-        fail(diff);
-        return report;
-      }
-    }
-
-    // Sharded kill-and-resume through the v3 wire format: capture at the
-    // instance's kill iteration, round-trip the checkpoint (shard slices
-    // included), resume sharded, and demand the uninterrupted answer.
-    MinerCheckpoint captured;
-    bool have_checkpoint = false;
-    MinerOptions opt = base;
-    opt.num_shards = inst.num_shards;
-    opt.shard_salt = inst.shard_salt;
-    opt.omega_pruning = true;
-    int calls = 0;
-    opt.checkpoint_sink = [&](const MinerCheckpoint& cp) {
-      captured = cp;
-      have_checkpoint = true;
-      return ++calls < inst.kill_iteration;
-    };
-    NmEngine engine(data, space);
-    (void)MineTrajPatterns(engine, opt);
-    ++report.mining_runs;
-    if (have_checkpoint) {
-      std::ostringstream os;
-      Status s = WriteMinerCheckpoint(captured, os);
-      if (!s.ok()) {
-        fail("sharded checkpoint write failed: " + s.ToString());
-        return report;
-      }
-      std::istringstream is(os.str());
-      MinerCheckpoint loaded;
-      s = ReadMinerCheckpoint(is, &loaded);
-      if (!s.ok()) {
-        fail("sharded checkpoint reload failed: " + s.ToString());
-        return report;
-      }
-      opt.checkpoint_sink = nullptr;
-      NmEngine resume_engine(data, space);
-      const MiningResult resumed = MineTrajPatterns(resume_engine, opt, &loaded);
-      ++report.mining_runs;
-      const std::string diff = DiffTopK("sharded v3 resume vs single-miner",
-                                        resumed.patterns, ref.patterns);
       if (!diff.empty()) {
         fail(diff);
         return report;

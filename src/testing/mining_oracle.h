@@ -19,7 +19,6 @@ struct OracleReport {
   bool brute_force_checked = false;
   bool ingestion_checked = false;
   bool warm_order_checked = false;
-  bool sharded_checked = false;
   /// Full miner executions performed.
   int mining_runs = 0;
 
@@ -48,10 +47,6 @@ struct OracleReport {
 ///      orders and on different thread counts score bit-identically to
 ///      one warmed in canonical order on one thread, and re-warming the
 ///      resident set materializes nothing (the incremental contract).
-///  (f) sharding: N-shard runs (src/shard) vs the single-miner
-///      reference — same top-k with cross-shard ω exchange ON and OFF,
-///      under a shuffled shard assignment (perturbed salt), and resumed
-///      from a v3 checkpoint (reported via `sharded_checked`).
 ///
 /// Ingestion-bearing instances additionally check the synchronizer's
 /// order-independence (a report stream is a *set* of fixes: raw order

@@ -470,6 +470,46 @@ TEST(CheckpointIoTest, V1HeaderLoadsWithZeroWorkCounters) {
   EXPECT_EQ(loaded.prev_queue, sample.prev_queue);
 }
 
+// The v3 format carried per-shard slices for a sharded miner that no
+// longer exists.  The miner's own checkpoints were always v2 and must
+// stay so; a v3 file must fail typed rather than load as if it were v2
+// with the slices dropped.
+TEST(ShardedCheckpointTest, UnshardedCheckpointStaysV2) {
+  const MinerCheckpoint cp = MakeSampleCheckpoint();
+  std::stringstream ss;
+  ASSERT_TRUE(WriteMinerCheckpoint(cp, ss).ok());
+  std::string first_line;
+  std::getline(ss, first_line);
+  EXPECT_EQ(first_line, "trajpattern_checkpoint,v2");
+  ss.seekg(0);
+  MinerCheckpoint back;
+  const Status s = ReadMinerCheckpoint(ss, &back);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(back.iteration, cp.iteration);
+  EXPECT_EQ(back.prev_queue, cp.prev_queue);
+}
+
+TEST(ShardedCheckpointTest, MalformedShardSliceRejected) {
+  std::stringstream ss;
+  ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
+  std::string v3 = ss.str();
+  const size_t magic = v3.find("checkpoint,v2");
+  ASSERT_NE(magic, std::string::npos);
+  v3.replace(magic, 13, "checkpoint,v3");
+  const std::string no_slices = v3;
+  const size_t end = v3.rfind("end\n");
+  ASSERT_NE(end, std::string::npos);
+  v3.insert(end, "shards,2\n0,-0x1p+3,5,1,0\n1,-0x1p+4,4,0,2\n");
+  for (const std::string& text : {v3, no_slices}) {
+    MinerCheckpoint cp;
+    cp.iteration = 123;
+    std::istringstream in(text);
+    EXPECT_EQ(ReadMinerCheckpoint(in, &cp).code(), StatusCode::kDataLoss)
+        << text;
+    EXPECT_EQ(cp.iteration, 123) << "output modified on failure";
+  }
+}
+
 // Renders the sample checkpoint in the v1 format (no work-counter
 // lines, v1 magic), the on-disk shape of pre-counter-era files.
 std::string SampleCheckpointAsV1() {

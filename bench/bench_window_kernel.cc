@@ -7,9 +7,13 @@
 // and every pruned score is an upper bound strictly below ω, with the
 // top-k unchanged, and (c) end-to-end mining with `omega_pruning` on
 // reproduces exact mining's top-k bit-for-bit on the Fig. 4(a) and 4(b)
-// configurations while reporting the abandoned-candidate count.  Writes
-// BENCH_window_kernel.json (override with --json=PATH); exits non-zero
-// if any identity check fails.
+// configurations while reporting the abandoned-candidate count and the
+// exact vs pruned mine times.  Then (d) sweeps S over {120, 1000, 2000,
+// 4000} (Fig. 4b-style mining, serial) and reports the batch kernel's
+// scoring ns per candidate per data point; the gate requires S=4000 to
+// stay within 1.2x of S=120, i.e. per-candidate cost flat in the column
+// size.  Writes BENCH_window_kernel.json (override with --json=PATH);
+// exits non-zero if any identity check or the sweep gate fails.
 
 #include <algorithm>
 #include <cstdio>
@@ -96,6 +100,47 @@ struct MineCheck {
   double exact_seconds = 0.0;
   double pruned_seconds = 0.0;
 };
+
+/// The sweep gate: per-candidate-point cost at the largest S may exceed
+/// the smallest S's by at most this factor.
+constexpr double kMaxSweepRatio = 1.2;
+/// Mines per sweep point; the fastest counts, since interference only
+/// ever adds time.
+constexpr int kSweepReps = 3;
+
+/// One S-sweep point: scoring time of a serial Fig. 4b-style mine per
+/// candidate per data point (fastest of `kSweepReps` mines; every mine
+/// scores the same candidates).
+struct SweepPoint {
+  int s = 0;
+  size_t points = 0;
+  int64_t candidates = 0;
+  double scoring_seconds = 0.0;
+  double ns_per_candidate_point = 0.0;
+};
+
+SweepPoint MeasureSweepPoint(tb::Fig4Config cfg, int s) {
+  cfg.num_trajectories = s;
+  cfg.threads = 1;
+  const auto data = tb::MakeZebraData(cfg);
+  const auto space = tb::MakeSpace(cfg);
+  const MinerOptions opt = tb::MakeMinerOptions(cfg);
+  SweepPoint out;
+  out.s = s;
+  out.points = data.TotalPoints();
+  for (int r = 0; r < kSweepReps; ++r) {
+    NmEngine engine(data, space);
+    const MiningResult res = MineTrajPatterns(engine, opt);
+    if (r == 0 || res.stats.scoring_seconds < out.scoring_seconds) {
+      out.scoring_seconds = res.stats.scoring_seconds;
+    }
+    out.candidates = res.stats.candidates_evaluated;
+  }
+  out.ns_per_candidate_point =
+      out.scoring_seconds * 1e9 /
+      (static_cast<double>(out.candidates) * static_cast<double>(out.points));
+  return out;
+}
 
 MineCheck CheckMining(const std::string& name, const tb::Fig4Config& cfg) {
   const auto data = tb::MakeZebraData(cfg);
@@ -262,6 +307,28 @@ int main(int argc, char** argv) {
         m.pruned_seconds);
   }
 
+  // ---- S sweep: per-candidate scoring cost against column size.
+  std::vector<SweepPoint> sweep;
+  for (int s : {120, 1000, 2000, 4000}) {
+    sweep.push_back(MeasureSweepPoint(cfg, s));
+  }
+  const double sweep_ratio = sweep.back().ns_per_candidate_point /
+                             sweep.front().ns_per_candidate_point;
+  const bool sweep_ok = sweep_ratio <= kMaxSweepRatio;
+  Table sweep_table({"S", "points", "column KB", "candidates",
+                     "scoring s", "ns/candidate/point"});
+  for (const SweepPoint& p : sweep) {
+    sweep_table.AddRow({std::to_string(p.s), std::to_string(p.points),
+                        std::to_string(p.points * sizeof(double) / 1024),
+                        std::to_string(p.candidates),
+                        Table::Num(p.scoring_seconds),
+                        Table::Num(p.ns_per_candidate_point)});
+  }
+  sweep_table.Print();
+  std::printf("sweep gate: S=%d / S=%d = %.3f (limit %.2f): %s\n",
+              sweep.back().s, sweep.front().s, sweep_ratio, kMaxSweepRatio,
+              sweep_ok ? "pass" : "FAIL");
+
   // ---- JSON summary.
   tb::JsonWriter w;
   w.BeginObject();
@@ -305,6 +372,23 @@ int main(int argc, char** argv) {
     w.EndObject();
   }
   w.EndArray();
+  w.Key("sweep").BeginObject();
+  w.Key("reps").Int(kSweepReps);
+  w.Key("points").BeginArray();
+  for (const SweepPoint& p : sweep) {
+    w.BeginObject();
+    w.Key("s").Int(p.s);
+    w.Key("data_points").UInt(p.points);
+    w.Key("candidates").Int(p.candidates);
+    w.Key("scoring_seconds").Double(p.scoring_seconds);
+    w.Key("ns_per_candidate_point").Double(p.ns_per_candidate_point, 3);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("ratio_largest_to_smallest").Double(sweep_ratio, 3);
+  w.Key("max_ratio").Double(kMaxSweepRatio, 2);
+  w.Key("gate_passed").Bool(sweep_ok);
+  w.EndObject();
   tb::StampMetrics(&w);
   tb::StampObsArtifacts(&w, obs_opts);
   w.EndObject();
@@ -315,7 +399,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path.c_str());
 
   const bool obs_ok = trajpattern::FlushObservability(obs_opts);
-  bool ok = identical_1t && identical_8t && pruned_contract;
+  bool ok = identical_1t && identical_8t && pruned_contract && sweep_ok;
   for (const MineCheck& m : mines) ok = ok && m.identical;
   return (ok && obs_ok) ? 0 : 1;
 }

@@ -47,10 +47,10 @@ inline const char* StopReasonName(StopReason r) {
 
 /// Cooperative cancellation handle.  Copies share one flag: the caller
 /// keeps a copy, hands another to the run (inside `RunContext`), and may
-/// call `Cancel()` from any thread at any time.  Scoring workers poll
+/// call `Cancel()` from any thread at any time.  Workers poll
 /// `cancelled()` (one relaxed atomic load) before claiming each work
-/// item, so a cancel takes effect mid-batch, not just at the next batch
-/// boundary.
+/// item, and scoring workers between trajectory tiles, so a cancel
+/// takes effect mid-batch, not just at the next batch boundary.
 class CancellationToken {
  public:
   CancellationToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}

@@ -120,8 +120,9 @@ struct MinerOptions {
 
   /// Run control: cooperative cancellation, wall-clock deadline, and
   /// memory budget (see common/run_context.h).  Polled at every batch
-  /// boundary, and by every scoring/warm-up worker before claiming each
-  /// work item, so a stop takes effect mid-batch.  On a stop the
+  /// boundary, by every warm-up worker before claiming each work item,
+  /// and by scoring workers between trajectory tiles, so a stop takes
+  /// effect mid-batch.  On a stop the
   /// in-flight batch is discarded and the run returns the exact
   /// best-so-far top-k as of the last completed batch, with the typed
   /// reason in `MinerStats::stop_reason`; the last checkpoint the sink

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <new>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -23,6 +24,11 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// (a dedup marker that never survives a WarmCells call).
 constexpr int32_t kNoSlot = -1;
 constexpr int32_t kStagedSlot = -2;
+
+/// Target points per trajectory tile of the batch kernel.  A tile's
+/// prefix rows (32 KB each) stay in L1/L2 while the sorted candidates
+/// stream their column slices past them.
+constexpr size_t kTilePoints = 4096;
 
 /// The fused last-column max scan; dispatched to AVX2 when available,
 /// bit-identical at every level (see simd_kernels.h).
@@ -53,6 +59,18 @@ NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
     sigma_.push_back(p.sigma);
   }
   cell_slot_.assign(static_cast<size_t>(space_.grid.num_cells()), kNoSlot);
+  tile_bounds_.push_back(0);
+  size_t tile_points = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    const size_t len = offsets_[i + 1] - offsets_[i];
+    if (i > tile_bounds_.back() && tile_points + len > kTilePoints) {
+      tile_bounds_.push_back(i);
+      tile_points = 0;
+    }
+    tile_points += len;
+    max_tile_points_ = std::max(max_tile_points_, tile_points);
+  }
+  if (!data.empty()) tile_bounds_.push_back(data.size());
 }
 
 NmEngine::~NmEngine() = default;
@@ -171,40 +189,30 @@ int32_t NmEngine::EnsureColumn(CellId cell) const {
   return slot;
 }
 
-void NmEngine::ResolveColumns(const Pattern& p, bool cached_only,
-                              ScoreScratch* scratch) const {
-  const size_t m = p.length();
-  auto& cols = scratch->cols;
-  if (cols.size() < m) cols.resize(m);
-  if (scratch->wsum.size() < flat_points_.size()) {
-    scratch->wsum.resize(flat_points_.size());
-  }
-  if (!cached_only) {
-    // Materialize every missing column BEFORE taking any base pointer:
-    // arena growth reallocates, which would dangle a sibling position
-    // resolved earlier in the same pattern.
-    for (size_t j = 0; j < m; ++j) {
-      if (p[j] != kWildcardCell) EnsureColumn(p[j]);
-    }
-  }
-  for (size_t j = 0; j < m; ++j) {
-    if (p[j] == kWildcardCell) {
-      cols[j] = nullptr;
-      continue;
-    }
-    assert(space_.grid.IsValid(p[j]));
-    // Batch workers land here with cached_only; the warm-up contract
-    // guarantees a materialized slot, which keeps this lookup read-only
-    // and therefore race-free.
-    const int32_t slot = cell_slot_[static_cast<size_t>(p[j])];
-    assert(slot >= 0);
-    cols[j] = ColumnBase(slot);
-  }
+const double* NmEngine::CachedColumn(CellId cell) const {
+  if (cell == kWildcardCell) return nullptr;
+  assert(space_.grid.IsValid(cell));
+  // Batch workers land here after warm-up, which guarantees a
+  // materialized slot; that keeps this lookup read-only and race-free.
+  const int32_t slot = cell_slot_[static_cast<size_t>(cell)];
+  assert(slot >= 0);
+  return ColumnBase(slot);
 }
 
-bool NmEngine::BestWindowSumGather(const std::vector<const double*>& cols,
-                                   size_t m, size_t traj_index,
-                                   double* best) const {
+std::vector<const double*> NmEngine::ResolveColumns(const Pattern& p) const {
+  // Materialize every missing column BEFORE taking any base pointer:
+  // arena growth reallocates, which would dangle a sibling position
+  // resolved earlier in the same pattern.
+  for (size_t j = 0; j < p.length(); ++j) {
+    if (p[j] != kWildcardCell) EnsureColumn(p[j]);
+  }
+  std::vector<const double*> cols(p.length());
+  for (size_t j = 0; j < p.length(); ++j) cols[j] = CachedColumn(p[j]);
+  return cols;
+}
+
+bool NmEngine::BestWindowSumGather(const double* const* cols, size_t m,
+                                   size_t traj_index, double* best) const {
   const size_t off = offsets_[traj_index];
   const size_t len = offsets_[traj_index + 1] - off;
   if (len < m || m == 0) return false;
@@ -220,9 +228,9 @@ bool NmEngine::BestWindowSumGather(const std::vector<const double*>& cols,
   return true;
 }
 
-bool NmEngine::BestWindowSumStreaming(const std::vector<const double*>& cols,
-                                      size_t m, size_t off, size_t len,
-                                      double* wsum, double* best) const {
+bool NmEngine::BestWindowSumStreaming(const double* const* cols, size_t m,
+                                      size_t off, size_t len, double* wsum,
+                                      double* best) const {
   if (len < m || m == 0) return false;
   const size_t nwin = len - m + 1;
   // Position-major accumulation: one contiguous pass per specified
@@ -263,217 +271,157 @@ bool NmEngine::BestWindowSumStreaming(const std::vector<const double*>& cols,
 
 double NmEngine::Nm(const Pattern& p, size_t traj_index) const {
   if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
+  const std::vector<const double*> cols = ResolveColumns(p);
   const size_t off = offsets_[traj_index];
   const size_t len = offsets_[traj_index + 1] - off;
+  std::vector<double> wsum(len);
   double best;
   const bool ok =
       kernel_ == WindowKernel::kGather
-          ? BestWindowSumGather(scratch.cols, p.length(), traj_index, &best)
-          : BestWindowSumStreaming(scratch.cols, p.length(), off, len,
-                                   scratch.wsum.data(), &best);
+          ? BestWindowSumGather(cols.data(), p.length(), traj_index, &best)
+          : BestWindowSumStreaming(cols.data(), p.length(), off, len,
+                                   wsum.data(), &best);
   if (!ok) return LogFloor();
   return best / static_cast<double>(p.SpecifiedCount());
 }
 
-double NmEngine::NmTotalResolved(const Pattern& p, ScoreScratch* scratch,
-                                 double prune_below,
-                                 int64_t* trajectories_skipped) const {
+namespace {
+
+/// Index of the last specified position of `p`, p.length() if none.
+size_t LastSpecified(const Pattern& p) {
+  for (size_t j = p.length(); j-- > 0;) {
+    if (p[j] != kWildcardCell) return j;
+  }
+  return p.length();
+}
+
+/// One pass over the whole flattened dataset: partial window sums of the
+/// specified positions before `last` for every global start g land in
+/// wsum[g]; starts whose window crosses a trajectory boundary hold
+/// cross-boundary garbage that the per-trajectory scans never read.
+/// Returns false (wsum untouched) when no position before `last` is
+/// specified.  The first specified pass initializes instead of adding
+/// (0.0 + x == x; columns are logs of probabilities and never hold
+/// -0.0), so the sums are the gather kernel's ascending-j sums.
+bool AccumulateWindowSums(const double* const* cols, size_t m, size_t last,
+                          size_t total_pts, double* wsum) {
+  if (total_pts < m) return false;
+  const size_t nwin = total_pts - m + 1;
+  bool any = false;
+  for (size_t j = 0; j < last; ++j) {
+    if (cols[j] == nullptr) continue;
+    if (!any) {
+      std::memcpy(wsum, cols[j] + j, nwin * sizeof(double));
+      any = true;
+    } else {
+      simd::AddInto(wsum, cols[j] + j, nwin);
+    }
+  }
+  return any;
+}
+
+}  // namespace
+
+double NmEngine::NmTotalResolved(const Pattern& p,
+                                 const double* const* cols) const {
   const size_t m = p.length();
   const size_t specified = p.SpecifiedCount();
   if (specified == 0) return kNegInf;  // see ValidateScorable
   const double spec = static_cast<double>(specified);
-  const auto& cols = scratch->cols;
   const size_t n = data_->size();
-  const bool prune = prune_below > kNoPruning;
-
-  if (kernel_ == WindowKernel::kStreaming && !prune) {
-    // One pass over the whole flattened dataset: partial window sums for
-    // every global start g land in wsum[g]; starts whose window crosses
-    // a trajectory boundary hold cross-boundary garbage that the
-    // per-trajectory scan below simply never reads.  The last specified
-    // column is not accumulated — it is fused into the per-trajectory
-    // max scan, which preserves the ascending-j addition order (and so
-    // bit-identity with the gather kernel) while skipping one full
-    // store+reload pass over the dataset.
-    const size_t total_pts = flat_points_.size();
-    double* wsum = scratch->wsum.data();
-    size_t last = 0;
-    for (size_t j = m; j-- > 0;) {
-      if (cols[j] != nullptr) {
-        last = j;
-        break;
-      }
-    }
-    bool first = true;
-    if (total_pts >= m) {
-      const size_t nwin = total_pts - m + 1;
-      for (size_t j = 0; j < last; ++j) {
-        const double* src = cols[j];
-        if (src == nullptr) continue;
-        src += j;
-        if (first) {
-          std::memcpy(wsum, src, nwin * sizeof(double));
-          first = false;
-        } else {
-          simd::AddInto(wsum, src, nwin);
-        }
-      }
-    }
-    double total = 0.0;
+  double total = 0.0;
+  if (kernel_ == WindowKernel::kGather) {
     for (size_t i = 0; i < n; ++i) {
-      const size_t off = offsets_[i];
-      const size_t len = offsets_[i + 1] - off;
-      if (len < m) {
-        total += LogFloor();
-        continue;
-      }
-      const size_t nwin = len - m + 1;
-      const double* tail = cols[last] + off + last;
-      const double best = FusedMaxSum(first ? nullptr : wsum + off, tail, nwin);
-      total += best / spec;
+      double best;
+      total += BestWindowSumGather(cols, m, i, &best) ? best / spec
+                                                      : LogFloor();
     }
     return total;
   }
-
-  // Trajectory-blocked path: the gather reference kernel, and the
-  // streaming kernel whenever ω-pruning is on (abandoning mid-dataset
-  // must skip whole trajectories to save work).
-  double total = 0.0;
+  // The last specified column is not accumulated — it is fused into the
+  // per-trajectory max scan, which keeps the ascending-j addition order
+  // (and so bit-identity with the gather kernel) while skipping one full
+  // store+reload pass over the dataset.
+  const size_t last = LastSpecified(p);
+  std::vector<double> wsum(flat_points_.size());
+  const bool any =
+      AccumulateWindowSums(cols, m, last, flat_points_.size(), wsum.data());
   for (size_t i = 0; i < n; ++i) {
-    double best;
-    const bool ok =
-        kernel_ == WindowKernel::kGather
-            ? BestWindowSumGather(cols, m, i, &best)
-            : BestWindowSumStreaming(cols, m, offsets_[i],
-                                     offsets_[i + 1] - offsets_[i],
-                                     scratch->wsum.data(), &best);
-    total += ok ? best / spec : LogFloor();
-    // Every contribution is <= 0, so `total` is a monotone
-    // non-increasing upper bound on the final sum: once it is below the
-    // threshold the pattern can never climb back above it.
-    if (prune && total < prune_below && i + 1 < n) {
-      if (trajectories_skipped != nullptr) {
-        *trajectories_skipped += static_cast<int64_t>(n - i - 1);
-      }
-      return total;  // partial-sum upper bound, itself < prune_below
+    const size_t off = offsets_[i];
+    const size_t len = offsets_[i + 1] - off;
+    if (len < m) {
+      total += LogFloor();
+      continue;
     }
+    const double best = FusedMaxSum(any ? wsum.data() + off : nullptr,
+                                    cols[last] + off + last, len - m + 1);
+    total += best / spec;
   }
   return total;
 }
 
-double NmEngine::NmTotalCached(const Pattern& p, ScoreScratch* scratch,
-                               double prune_below,
-                               int64_t* trajectories_skipped) const {
-  // Columns are resolved once per pattern (not once per trajectory) and
-  // the scratch is caller-owned, so the loop below does zero allocation.
-  ResolveColumns(p, /*cached_only=*/true, scratch);
-  return NmTotalResolved(p, scratch, prune_below, trajectories_skipped);
-}
-
 double NmEngine::NmTotal(const Pattern& p) const {
   ++num_pattern_evaluations_;
-  ScoreScratch scratch;
   // Fill any missing columns while still serial, then run the read-only
-  // kernel shared with the batch path.
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  return NmTotalResolved(p, &scratch, kNoPruning, nullptr);
+  // reference reduction.
+  return NmTotalResolved(p, ResolveColumns(p).data());
 }
 
 double NmEngine::Match(const Pattern& p, size_t traj_index) const {
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
+  const std::vector<const double*> cols = ResolveColumns(p);
   const size_t off = offsets_[traj_index];
   const size_t len = offsets_[traj_index + 1] - off;
+  std::vector<double> wsum(len);
   double best;
   const bool ok =
       kernel_ == WindowKernel::kGather
-          ? BestWindowSumGather(scratch.cols, p.length(), traj_index, &best)
-          : BestWindowSumStreaming(scratch.cols, p.length(), off, len,
-                                   scratch.wsum.data(), &best);
+          ? BestWindowSumGather(cols.data(), p.length(), traj_index, &best)
+          : BestWindowSumStreaming(cols.data(), p.length(), off, len,
+                                   wsum.data(), &best);
   if (!ok) return 0.0;
   return std::exp(best);
 }
 
 double NmEngine::MatchTotalResolved(const Pattern& p,
-                                    ScoreScratch* scratch) const {
+                                    const double* const* cols) const {
   const size_t m = p.length();
   if (m == 0) return 0.0;  // no window can exist
-  const auto& cols = scratch->cols;
   const size_t n = data_->size();
-
-  if (kernel_ == WindowKernel::kStreaming) {
-    // Same fused position-major layout as the NM path, minus pruning.
-    const size_t total_pts = flat_points_.size();
-    double* wsum = scratch->wsum.data();
-    size_t last = m;  // last specified position, m if all-wildcard
-    for (size_t j = m; j-- > 0;) {
-      if (cols[j] != nullptr) {
-        last = j;
-        break;
-      }
-    }
-    if (last == m) {
-      // All-wildcard: every window sums to log 1, so each trajectory
-      // that can host a window contributes exp(0) == 1.
-      double total = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        if (offsets_[i + 1] - offsets_[i] >= m) total += 1.0;
-      }
-      return total;
-    }
-    bool first = true;
-    if (total_pts >= m) {
-      const size_t nwin = total_pts - m + 1;
-      for (size_t j = 0; j < last; ++j) {
-        const double* src = cols[j];
-        if (src == nullptr) continue;
-        src += j;
-        if (first) {
-          std::memcpy(wsum, src, nwin * sizeof(double));
-          first = false;
-        } else {
-          simd::AddInto(wsum, src, nwin);
-        }
-      }
-    }
-    double total = 0.0;
+  double total = 0.0;
+  if (kernel_ == WindowKernel::kGather) {
     for (size_t i = 0; i < n; ++i) {
-      const size_t off = offsets_[i];
-      const size_t len = offsets_[i + 1] - off;
-      if (len < m) continue;  // too short: contributes 0
-      const size_t nwin = len - m + 1;
-      const double* tail = cols[last] + off + last;
-      const double best = FusedMaxSum(first ? nullptr : wsum + off, tail, nwin);
-      total += std::exp(best);
+      double best;
+      if (BestWindowSumGather(cols, m, i, &best)) total += std::exp(best);
     }
     return total;
   }
-
-  double total = 0.0;
+  const size_t last = LastSpecified(p);
+  if (last == m) {
+    // All-wildcard: every window sums to log 1, so each trajectory that
+    // can host a window contributes exp(0) == 1.
+    for (size_t i = 0; i < n; ++i) {
+      if (offsets_[i + 1] - offsets_[i] >= m) total += 1.0;
+    }
+    return total;
+  }
+  // Same fused position-major layout as the NM path.
+  std::vector<double> wsum(flat_points_.size());
+  const bool any =
+      AccumulateWindowSums(cols, m, last, flat_points_.size(), wsum.data());
   for (size_t i = 0; i < n; ++i) {
-    double best;
-    if (BestWindowSumGather(cols, m, i, &best)) total += std::exp(best);
+    const size_t off = offsets_[i];
+    const size_t len = offsets_[i + 1] - off;
+    if (len < m) continue;  // too short: contributes 0
+    const double best = FusedMaxSum(any ? wsum.data() + off : nullptr,
+                                    cols[last] + off + last, len - m + 1);
+    total += std::exp(best);
   }
   return total;
 }
 
-double NmEngine::MatchTotalCached(const Pattern& p, ScoreScratch* scratch,
-                                  double /*prune_below*/,
-                                  int64_t* /*trajectories_skipped*/) const {
-  // Match contributions are >= 0: a running partial sum is a *lower*
-  // bound on the total, so the ω-abandon argument does not transfer and
-  // `prune_below` is deliberately ignored here.
-  ResolveColumns(p, /*cached_only=*/true, scratch);
-  return MatchTotalResolved(p, scratch);
-}
-
 double NmEngine::MatchTotal(const Pattern& p) const {
   ++num_pattern_evaluations_;
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  return MatchTotalResolved(p, &scratch);
+  return MatchTotalResolved(p, ResolveColumns(p).data());
 }
 
 ThreadPool* NmEngine::PoolFor(int threads) const {
@@ -683,7 +631,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
 std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
                                          int num_threads,
                                          BatchScoreStats* stats,
-                                         double prune_below, KernelFn kernel,
+                                         double prune_below, Measure measure,
                                          const RunContext* run) const {
   const int threads = ResolveThreadCount(num_threads);
   BatchScoreStats out_stats;
@@ -748,9 +696,10 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
   out_stats.chunks = static_cast<int>(chunks.size());
 
   ThreadPool* pool = PoolFor(threads);
-  const int lanes = pool == nullptr ? 1 : pool->size();
-  std::vector<ScoreScratch> scratch(static_cast<size_t>(lanes));
   std::vector<int64_t> skipped(patterns.size(), 0);
+  std::vector<const double*> cols;
+  std::vector<size_t> col_begin;
+  size_t scored = 0;
   WallTimer timer;
   for (const auto& chunk : chunks) {
     const size_t cb = chunk.first;
@@ -785,17 +734,32 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     timer.Reset();
     {
       TP_TRACE_SPAN("nm/scoring");
-      ParallelFor(
-          pool, ce - cb,
-          [&, cb](size_t i, int worker) {
-            out[cb + i] = (this->*kernel)(patterns[cb + i],
-                                          &scratch[static_cast<size_t>(worker)],
-                                          prune_below, &skipped[cb + i]);
-          },
-          run);
+      // Every candidate's column pointers, resolved once for the chunk.
+      cols.clear();
+      col_begin.resize(ce - cb);
+      for (size_t i = cb; i < ce; ++i) {
+        col_begin[i - cb] = cols.size();
+        for (size_t j = 0; j < patterns[i].length(); ++j) {
+          cols.push_back(CachedColumn(patterns[i][j]));
+        }
+      }
+      if (kernel_ == WindowKernel::kGather) {
+        ParallelFor(
+            pool, ce - cb,
+            [&, cb](size_t i, int) {
+              const Pattern& p = patterns[cb + i];
+              const double* const* c = cols.data() + col_begin[i];
+              out[cb + i] = measure == Measure::kNm
+                                ? NmTotalResolved(p, c)
+                                : MatchTotalResolved(p, c);
+            },
+            run);
+      } else {
+        ScoreTiled(patterns, cb, ce, cols.data(), col_begin.data(), measure,
+                   prune_below, pool, run, out.data(), skipped.data());
+      }
     }
     out_stats.scoring_seconds += timer.Seconds();
-    num_pattern_evaluations_ += static_cast<int64_t>(ce - cb);
     if (run != nullptr) {
       const StopReason sr = run->CheckStop();
       if (sr != StopReason::kNone) {
@@ -803,19 +767,158 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
         break;
       }
     }
-  }
-  TP_COUNTER_ADD("nm.cells_warmed", out_stats.cells_warmed);
-  for (int64_t s : skipped) {
-    if (s > 0) {
-      ++out_stats.candidates_pruned;
-      out_stats.trajectories_skipped += s;
+    // The chunk completed: only now do its candidates count as scored.
+    scored += ce - cb;
+    for (size_t i = cb; i < ce; ++i) {
+      if (skipped[i] > 0) {
+        ++out_stats.candidates_pruned;
+        out_stats.trajectories_skipped += skipped[i];
+      }
     }
   }
-  TP_COUNTER_ADD("nm.candidates_scored", patterns.size());
+  num_pattern_evaluations_ += static_cast<int64_t>(scored);
+  TP_COUNTER_ADD("nm.cells_warmed", out_stats.cells_warmed);
+  TP_COUNTER_ADD("nm.candidates_scored", scored);
   TP_COUNTER_ADD("nm.candidates_pruned", out_stats.candidates_pruned);
   TP_COUNTER_ADD("nm.trajectories_skipped", out_stats.trajectories_skipped);
   if (stats != nullptr) *stats = out_stats;
   return out;
+}
+
+namespace {
+
+/// One tiled-kernel worker's scratch: row d holds the window sums of a
+/// candidate's positions [0, d] over the current tile (prefix[d] points
+/// at it, at the column itself when position d is the first specified
+/// one, at row d-1 when it is a wildcard, and is nullptr while no
+/// position is specified); `built` names the cells the rows were built
+/// for.
+struct TileScratch {
+  std::vector<double> rows;
+  std::vector<const double*> prefix;
+  std::vector<CellId> built;
+};
+
+}  // namespace
+
+void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
+                          size_t end, const double* const* cols,
+                          const size_t* col_begin, Measure measure,
+                          double prune_below, ThreadPool* pool,
+                          const RunContext* run, double* out,
+                          int64_t* skipped) const {
+  const bool nm = measure == Measure::kNm;
+  const bool prune = nm && prune_below > kNoPruning;
+  const size_t n = data_->size();
+  const size_t count = end - begin;
+  // Sorted order: the candidates one high pattern was joined into sit
+  // side by side and share that pattern's prefix rows.
+  std::vector<size_t> order(count);
+  std::iota(order.begin(), order.end(), begin);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return patterns[a] < patterns[b];
+  });
+  // Per sorted slot: the last specified position (m if none), the NM
+  // normalizer, the running total, and whether scoring is over (an
+  // unscorable pattern, or an ω-abandon).
+  std::vector<size_t> last(count);
+  std::vector<double> spec(count);
+  std::vector<double> total(count, 0.0);
+  std::vector<char> done(count, 0);
+  size_t depth = 0;  // prefix rows the batch needs
+  for (size_t s = 0; s < count; ++s) {
+    const Pattern& p = patterns[order[s]];
+    const size_t m = p.length();
+    last[s] = LastSpecified(p);
+    spec[s] = static_cast<double>(p.SpecifiedCount());
+    if (m == 0 || (nm && last[s] == m)) {
+      total[s] = nm ? kNegInf : 0.0;  // see ValidateScorable
+      done[s] = 1;
+    } else if (last[s] < m) {
+      depth = std::max(depth, last[s]);
+    }
+  }
+
+  const size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->size());
+  const size_t runs = std::max<size_t>(1, std::min(lanes, count));
+  std::vector<TileScratch> scratch(lanes);
+  ParallelFor(
+      pool, runs,
+      [&](size_t r, int worker) {
+        TileScratch& ts = scratch[static_cast<size_t>(worker)];
+        ts.rows.resize(depth * max_tile_points_);
+        ts.prefix.resize(depth);
+        const size_t sb = count * r / runs;
+        const size_t se = count * (r + 1) / runs;
+        for (size_t t = 0; t + 1 < tile_bounds_.size(); ++t) {
+          if (run != nullptr && run->StopRequested()) return;
+          const size_t first = tile_bounds_[t];
+          const size_t stop = tile_bounds_[t + 1];
+          const size_t tile_off = offsets_[first];
+          const size_t tile_len = offsets_[stop] - tile_off;
+          ts.built.clear();
+          for (size_t s = sb; s < se; ++s) {
+            if (done[s]) continue;
+            const Pattern& p = patterns[order[s]];
+            const double* const* c = cols + col_begin[order[s] - begin];
+            const size_t m = p.length();
+            const size_t l = last[s];
+            // Prefix rows the fused scan of position l reads: none for an
+            // all-wildcard (match) pattern, which has no position l, nor
+            // when no trajectory of the tile is long enough for a window.
+            const size_t need = l == m || m > tile_len ? 0 : l;
+            // Rows [0, d) already hold this candidate's prefix sums;
+            // rebuild only the depths past the common prefix.
+            size_t d = 0;
+            while (d < ts.built.size() && d < need && ts.built[d] == p[d]) ++d;
+            if (d < need) {
+              ts.built.assign(p.cells().begin(),
+                              p.cells().begin() + static_cast<ptrdiff_t>(need));
+              for (; d < need; ++d) {
+                const double* below = d == 0 ? nullptr : ts.prefix[d - 1];
+                if (p[d] == kWildcardCell) {
+                  ts.prefix[d] = below;  // a wildcard adds log 1
+                } else if (below == nullptr) {
+                  ts.prefix[d] = c[d] + tile_off + d;
+                } else {
+                  // Windows of the tile's trajectories start below
+                  // tile_len - d, so no row reads past the tile.
+                  double* row = ts.rows.data() + d * max_tile_points_;
+                  simd::SumInto(row, below, c[d] + tile_off + d, tile_len - d);
+                  ts.prefix[d] = row;
+                }
+              }
+            }
+            const double* w = need == 0 ? nullptr : ts.prefix[need - 1];
+            double sum = total[s];
+            for (size_t i = first; i < stop; ++i) {
+              const size_t off = offsets_[i];
+              const size_t len = offsets_[i + 1] - off;
+              if (len >= m) {
+                const double best =
+                    l == m ? 0.0  // all-wildcard match window
+                           : FusedMaxSum(w == nullptr ? nullptr
+                                                      : w + (off - tile_off),
+                                         c[l] + off + l, len - m + 1);
+                sum += nm ? best / spec[s] : std::exp(best);
+              } else if (nm) {
+                sum += LogFloor();
+              }
+              // Every NM contribution is <= 0, so `sum` is a monotone
+              // non-increasing upper bound on the final total: once it
+              // is below the threshold it can never climb back.
+              if (prune && sum < prune_below && i + 1 < n) {
+                skipped[order[s]] = static_cast<int64_t>(n - i - 1);
+                done[s] = 1;
+                break;
+              }
+            }
+            total[s] = sum;
+          }
+        }
+      },
+      run);
+  for (size_t s = 0; s < count; ++s) out[order[s]] = total[s];
 }
 
 std::vector<double> NmEngine::NmTotalBatch(const std::vector<Pattern>& patterns,
@@ -823,15 +926,15 @@ std::vector<double> NmEngine::NmTotalBatch(const std::vector<Pattern>& patterns,
                                            BatchScoreStats* stats,
                                            double prune_below,
                                            const RunContext* run) const {
-  return ScoreBatch(patterns, num_threads, stats, prune_below,
-                    &NmEngine::NmTotalCached, run);
+  return ScoreBatch(patterns, num_threads, stats, prune_below, Measure::kNm,
+                    run);
 }
 
 std::vector<double> NmEngine::MatchTotalBatch(
     const std::vector<Pattern>& patterns, int num_threads,
     BatchScoreStats* stats, const RunContext* run) const {
-  return ScoreBatch(patterns, num_threads, stats, kNoPruning,
-                    &NmEngine::MatchTotalCached, run);
+  return ScoreBatch(patterns, num_threads, stats, kNoPruning, Measure::kMatch,
+                    run);
 }
 
 double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
@@ -839,9 +942,7 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
   ++num_pattern_evaluations_;
   const size_t m = p.length();
   if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  const auto& cols = scratch.cols;
+  const std::vector<const double*> cols = ResolveColumns(p);
   double total = 0.0;
   for (size_t i = 0; i < data_->size(); ++i) {
     const size_t off = offsets_[i];

@@ -36,6 +36,8 @@ struct BatchScoreStats {
   int threads_used = 1;
   /// Candidates whose scan was abandoned early because the running
   /// partial sum fell below `prune_below` (0 when pruning is off).
+  /// Like the engine's scored-candidate counters, this and
+  /// `trajectories_skipped` cover completed chunks only.
   size_t candidates_pruned = 0;
   /// Trajectory evaluations skipped by those abandons (the work saved).
   int64_t trajectories_skipped = 0;
@@ -70,11 +72,14 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// strided-gather loop, kept as the bit-identity reference for tests and
 /// the window-kernel bench.  Both produce bit-identical scores.
 enum class WindowKernel {
-  /// Position-major: m sequential passes accumulating into a contiguous
-  /// `window_sum[]` scratch, then a per-trajectory max scan.
+  /// Position-major: per-pattern calls make m sequential passes into a
+  /// contiguous `window_sum[]` scratch, then a per-trajectory max scan;
+  /// batch calls run the tiled, prefix-sharing form of the same sums
+  /// (DESIGN.md §4d).
   kStreaming,
   /// Window-major: per window, gather one value from each of the m
-  /// columns (the pre-PR-3 kernel).
+  /// columns (the pre-PR-3 kernel), one candidate at a time in batches
+  /// too.  Never prunes.
   kGather,
 };
 
@@ -101,9 +106,13 @@ enum class WindowKernel {
 /// publishes the slot table serially (see `WarmCells`) — then fan the
 /// candidates out over the same pool; scoring workers only ever *read*
 /// the arena.
+/// Batch scoring splits the trajectories into tiles of about 4096
+/// points and scores the lexicographically sorted candidate batch one
+/// tile at a time, rebuilding only the window-sum rows past each
+/// candidate's common prefix with its predecessor (DESIGN.md §4d).
 /// Batch results use the same per-pattern reduction order as the serial
-/// path (trajectory 0, 1, ...), so they are bit-identical to it
-/// regardless of the worker count.
+/// path (ascending position inside a window, trajectory 0, 1, ...), so
+/// they are bit-identical to it regardless of the worker count.
 ///
 /// Invalid patterns: the NM measure divides by the specified-position
 /// count, so the empty pattern and all-wildcard patterns are undefined
@@ -157,19 +166,28 @@ class NmEngine {
   /// `< prune_below`.  Feeding the miner's current ω keeps every
   /// downstream consumer exact: the pattern can never (re)enter the
   /// top-k (ω only grows), and its high/low classification is unchanged
-  /// (true NM <= bound < ω means low either way).  Abandonment points
-  /// depend only on the trajectory order, so pruned results are also
-  /// bit-identical across thread counts.
+  /// (true NM <= bound < ω means low either way).  Abandonment is
+  /// checked after every trajectory, as in a per-pattern scan (the tiled
+  /// kernel then skips the candidate in later tiles), so its points
+  /// depend only on the trajectory order and pruned results are also
+  /// bit-identical across thread counts.  The gather kernel scores
+  /// exactly and ignores `prune_below`.
   /// `run` (optional) threads the run-control contract through the call:
-  /// scoring workers poll its token/deadline before claiming each
-  /// candidate, warm-up polls it between phases, and a non-zero
-  /// `memory_budget_bytes` caps the column arena — the call splits the
-  /// batch into chunks whose working sets fit the budget and sheds
-  /// least-recently-used columns between chunks.  Chunk boundaries are a
+  /// scoring workers poll its token/deadline between trajectory tiles
+  /// (per candidate under the gather kernel), warm-up polls it between
+  /// phases, and a non-zero `memory_budget_bytes` caps the column
+  /// arena — the call splits the batch into chunks whose working sets
+  /// fit the budget and sheds least-recently-used columns between
+  /// chunks.  Chunk boundaries are a
   /// pure function of the pattern list and the budget, and every chunk
   /// uses the serial reduction order, so budgeted results stay
   /// bit-identical to unbudgeted ones.  On an early stop the call
   /// returns with `stats->stop` set and the output must be discarded.
+  /// The `nm.candidates_scored` counter and `num_pattern_evaluations()`
+  /// advance by a chunk's candidates only once that chunk completed, so
+  /// after a stopped mine `nm.candidates_scored` equals the miner's
+  /// `candidates_evaluated` plus the completed chunks of the batch the
+  /// miner discarded (none without a memory budget: one chunk).
   std::vector<double> NmTotalBatch(const std::vector<Pattern>& patterns,
                                    int num_threads = 1,
                                    BatchScoreStats* stats = nullptr,
@@ -252,7 +270,8 @@ class NmEngine {
   void set_window_kernel(WindowKernel k) { kernel_ = k; }
   WindowKernel window_kernel() const { return kernel_; }
 
-  /// Number of pattern-vs-dataset scorings performed (for the benches).
+  /// Number of pattern-vs-dataset scorings performed (for the benches);
+  /// batch candidates count once their chunk completes.
   int64_t num_pattern_evaluations() const { return num_pattern_evaluations_; }
   /// Number of distinct cells with a cached log-prob column.
   size_t num_cached_cells() const { return num_slots_; }
@@ -280,13 +299,8 @@ class NmEngine {
   }
 
  private:
-  /// Per-lane scratch reused across calls so the hot loops never
-  /// allocate: the resolved per-position column base pointers and the
-  /// streaming kernel's window-sum accumulator.
-  struct ScoreScratch {
-    std::vector<const double*> cols;
-    std::vector<double> wsum;
-  };
+  /// Which aggregate a batch computes.
+  enum class Measure { kNm, kMatch };
 
   /// Scratch of one column materialization (per warm-up worker): the 1-D
   /// probability factors of the rectangular model, or the center
@@ -295,13 +309,6 @@ class NmEngine {
     std::vector<double> fa;
     std::vector<double> fb;
   };
-
-  /// Result of scoring one pattern with optional pruning: the score (or
-  /// partial-sum bound) plus how many trajectory evaluations the
-  /// early-abandon skipped (0 == not pruned).
-  using KernelFn = double (NmEngine::*)(const Pattern&, ScoreScratch*,
-                                        double prune_below,
-                                        int64_t* trajectories_skipped) const;
 
   /// Writes the log-prob column for `cell` into `out[0, TotalPoints())`,
   /// column-at-a-time through the batched prob entry points
@@ -342,18 +349,20 @@ class NmEngine {
     return arena_.data() + static_cast<size_t>(slot) * stride_;
   }
 
-  /// Resolves each position of `p` to its column base pointer (nullptr
-  /// for wildcards, log 1).  `cached_only` restricts the lookup to
-  /// already-warmed columns (read-only, thread-safe); otherwise missing
-  /// columns are computed first (all of them, before any pointer is
-  /// taken, so arena growth cannot dangle a sibling position).
-  void ResolveColumns(const Pattern& p, bool cached_only,
-                      ScoreScratch* scratch) const;
+  /// Column base pointer of a materialized `cell` (nullptr for the
+  /// wildcard, log 1).  A read-only lookup, safe on scoring workers.
+  const double* CachedColumn(CellId cell) const;
+
+  /// Resolves each position of `p` to its column base pointer, computing
+  /// missing columns first (all of them, before any pointer is taken,
+  /// so arena growth cannot dangle a sibling position).  Serial
+  /// per-pattern paths only.
+  std::vector<const double*> ResolveColumns(const Pattern& p) const;
 
   /// Gather (window-major) max window log-sum for trajectory
   /// `traj_index`; returns false if the trajectory is shorter than the
   /// pattern (length `m`).  The pre-PR-3 reference kernel.
-  bool BestWindowSumGather(const std::vector<const double*>& cols, size_t m,
+  bool BestWindowSumGather(const double* const* cols, size_t m,
                            size_t traj_index, double* best) const;
 
   /// Streaming (position-major) counterpart over the half-open snapshot
@@ -361,36 +370,34 @@ class NmEngine {
   /// len-m+1)` with one contiguous pass per specified position, then max
   /// scans.  Bit-identical to the gather kernel (same per-window
   /// addition order, same tie-keeps-first max).
-  bool BestWindowSumStreaming(const std::vector<const double*>& cols, size_t m,
-                              size_t off, size_t len, double* wsum,
-                              double* best) const;
+  bool BestWindowSumStreaming(const double* const* cols, size_t m, size_t off,
+                              size_t len, double* wsum, double* best) const;
 
-  /// The allocation-free reduction loops shared by the serial totals and
-  /// the batch workers; `scratch` must hold the pattern's resolved
-  /// columns.  When `prune_below` is above `kNoPruning`, the NM
-  /// reduction early-abandons per the `NmTotalBatch` contract and
-  /// reports skipped trajectories through `trajectories_skipped`.
-  double NmTotalResolved(const Pattern& p, ScoreScratch* scratch,
-                         double prune_below,
-                         int64_t* trajectories_skipped) const;
-  double MatchTotalResolved(const Pattern& p, ScoreScratch* scratch) const;
+  /// The per-pattern dataset totals over resolved columns `cols`: one
+  /// whole-dataset streaming pass, or the per-trajectory gather loop.
+  /// The independent reference the tiled batch kernel is checked
+  /// against.
+  double NmTotalResolved(const Pattern& p, const double* const* cols) const;
+  double MatchTotalResolved(const Pattern& p, const double* const* cols) const;
 
-  /// NmTotal over pre-warmed columns using caller-provided scratch; the
-  /// read-only kernel the batch workers run.
-  double NmTotalCached(const Pattern& p, ScoreScratch* scratch,
-                       double prune_below,
-                       int64_t* trajectories_skipped) const;
-  /// MatchTotal counterpart of `NmTotalCached` (ignores `prune_below`).
-  double MatchTotalCached(const Pattern& p, ScoreScratch* scratch,
-                          double prune_below,
-                          int64_t* trajectories_skipped) const;
-
-  /// Shared fan-out of the two batch entry points; `kernel` is one of
-  /// the *Cached scorers.
+  /// Shared body of the two batch entry points: chunking, warm-up, then
+  /// `ScoreTiled` (or the per-candidate gather reference).
   std::vector<double> ScoreBatch(const std::vector<Pattern>& patterns,
                                  int num_threads, BatchScoreStats* stats,
-                                 double prune_below, KernelFn kernel,
+                                 double prune_below, Measure measure,
                                  const RunContext* run) const;
+
+  /// The tiled, prefix-sharing batch kernel over the warmed candidates
+  /// [begin, end) of `patterns`; `cols + col_begin[i - begin]` holds
+  /// candidate i's resolved columns.  Writes out[i], and the trajectory
+  /// evaluations an ω-abandon skipped to skipped[i].  Each worker takes
+  /// a contiguous run of the sorted order; workers poll `run` between
+  /// tiles.  See DESIGN.md §4d.
+  void ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
+                  size_t end, const double* const* cols,
+                  const size_t* col_begin, Measure measure,
+                  double prune_below, ThreadPool* pool, const RunContext* run,
+                  double* out, int64_t* skipped) const;
 
   /// Evicts up to `count` resident columns, least-recently-used first
   /// (ties broken by CellId for determinism), skipping columns stamped
@@ -417,6 +424,12 @@ class NmEngine {
   /// Structure-of-arrays view of `flat_points_` (means and sigmas), the
   /// dense inputs the batched prob evaluations stream over.
   std::vector<double> px_, py_, sigma_;
+  /// Trajectory tiles of the batch kernel: tile t holds trajectories
+  /// [tile_bounds_[t], tile_bounds_[t+1]), about `kTilePoints` points,
+  /// cut at trajectory starts (a longer trajectory is a tile alone).
+  std::vector<size_t> tile_bounds_;
+  /// Points in the largest tile (the length of a prefix-sum row).
+  size_t max_tile_points_ = 0;
 
   /// Column arena: slot s holds the column of one cell in
   /// [s*stride_, (s+1)*stride_), stride_ == flat_points_.size().

@@ -37,11 +37,17 @@ double FusedMaxSum(const double* w, const double* t, size_t n);
 /// bit-identical.
 void AddInto(double* dst, const double* src, size_t n);
 
+/// dst[k] = a[k] + b[k] for k in [0, n): one prefix-depth row of the tiled
+/// batch kernel (the row below plus the next column, in one pass).
+/// Element-wise IEEE adds, bit-identical to `AddInto` on a copy of `a`.
+void SumInto(double* dst, const double* a, const double* b, size_t n);
+
 /// Reference implementations, always compiled, dispatch-independent.
 /// The identity tests (and the portable-only CI leg) compare the
 /// dispatched kernels against these bit for bit.
 double FusedMaxSumPortable(const double* w, const double* t, size_t n);
 void AddIntoPortable(double* dst, const double* src, size_t n);
+void SumIntoPortable(double* dst, const double* a, const double* b, size_t n);
 
 }  // namespace trajpattern::simd
 

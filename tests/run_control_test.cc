@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/match_apriori.h"
@@ -22,6 +25,7 @@
 #include "datagen/planted_generator.h"
 #include "geometry/grid.h"
 #include "io/checkpoint.h"
+#include "obs/obs.h"
 #include "parallel/thread_pool.h"
 #include "server/fault_injector.h"
 #include "server/mining_supervisor.h"
@@ -360,6 +364,115 @@ TEST(MinerRunControlTest, InjectedAllocFailureStopsWithTypedReason) {
   const MiningResult healed = MineTrajPatterns(engine, MakeOptions());
   EXPECT_FALSE(healed.stats.aborted);
   EXPECT_FALSE(healed.patterns.empty());
+}
+
+TEST(MinerRunControlTest, StoppedMinesCountOnlyCompletedScoring) {
+  // The engine counts a chunk's candidates as scored (the
+  // nm.candidates_scored counter and num_pattern_evaluations()) only
+  // once the chunk completed, and the miner discards a stopped batch
+  // whole.  After a stopped mine the engine count is therefore the
+  // miner's candidates_evaluated plus the completed chunks of the
+  // discarded batch; without a memory budget a batch is one chunk, so
+  // the two are equal.
+  PlantedPatternOptions po;
+  po.pattern = {Point2(0.15, 0.15), Point2(0.45, 0.45), Point2(0.75, 0.75)};
+  po.num_with_pattern = 60;
+  po.num_background = 60;
+  po.num_snapshots = 40;
+  po.seed = 11;
+  const TrajectoryDataset data = GeneratePlantedPatterns(po);
+  const MiningSpace space = MakeSpace();
+  obs::Counter* const scored_counter =
+      obs::MetricsRegistry::Global().GetCounter("nm.candidates_scored");
+
+  struct Outcome {
+    MiningResult result;
+    int64_t scored = 0;       // nm.candidates_scored delta
+    int64_t evaluations = 0;  // engine.num_pattern_evaluations()
+  };
+  const auto mine = [&](const MinerOptions& opt, double cancel_after_ms,
+                        bool cancel_in_first_warmup) {
+    NmEngine engine(data, space);
+    const CancellationToken token = opt.run.token;
+    if (cancel_in_first_warmup) {
+      // Fires while the first batch grows the arena, so the stop lands
+      // inside that batch's warm-up.
+      engine.set_alloc_fault_hook([token](size_t) {
+        token.Cancel();
+        return false;
+      });
+    }
+    const int64_t before = scored_counter->Value();
+    std::thread canceller;
+    if (cancel_after_ms > 0.0) {
+      canceller = std::thread([token, cancel_after_ms] {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(cancel_after_ms));
+        token.Cancel();
+      });
+    }
+    Outcome out;
+    out.result = MineTrajPatterns(engine, opt);
+    if (canceller.joinable()) canceller.join();
+    out.scored = scored_counter->Value() - before;
+    out.evaluations = engine.num_pattern_evaluations();
+    return out;
+  };
+  const auto expect_counted = [](const Outcome& o, const std::string& what) {
+    EXPECT_EQ(o.evaluations, o.result.stats.candidates_evaluated) << what;
+#if TRAJPATTERN_OBS_ENABLED
+    EXPECT_EQ(o.scored, o.result.stats.candidates_evaluated) << what;
+#endif
+  };
+
+  {
+    MinerOptions opt = MakeOptions();
+    const Outcome o = mine(opt, 0.0, /*cancel_in_first_warmup=*/true);
+    EXPECT_EQ(o.result.stats.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(o.result.stats.candidates_evaluated, 0);
+    expect_counted(o, "cancelled in the first warm-up");
+  }
+  // The whole mine takes about 10 ms on a desktop core; these stops land
+  // in its first batches' warm-up and scoring, or after it finished.
+  for (const double ms : {1.0, 4.0, 8.0}) {
+    MinerOptions opt = MakeOptions();
+    const Outcome cancelled = mine(opt, ms, false);
+    expect_counted(cancelled, "cancelled after " + std::to_string(ms) + " ms");
+
+    MinerOptions dl = MakeOptions();
+    dl.run.SetDeadlineAfterMillis(ms);
+    const Outcome deadline = mine(dl, 0.0, false);
+    if (deadline.result.stats.aborted) {
+      EXPECT_EQ(deadline.result.stats.stop_reason,
+                StopReason::kDeadlineExceeded);
+    }
+    expect_counted(deadline, "deadline " + std::to_string(ms) + " ms");
+  }
+
+  // Under a memory budget a stopped batch may have completed chunks: the
+  // engine counted them, the miner discarded them with the rest of the
+  // batch, and they are fewer than one batch.
+  for (const double ms : {4.0, 8.0, 30.0}) {
+    MinerOptions opt = MakeOptions();
+    opt.max_candidates_per_iteration = 400;
+    opt.run.memory_budget_bytes =
+        8 * static_cast<uint64_t>(data.TotalPoints() * sizeof(double));
+    opt.run.SetDeadlineAfterMillis(ms);
+    const Outcome o = mine(opt, 0.0, false);
+    const int64_t evaluated = o.result.stats.candidates_evaluated;
+    const int64_t batch_cap = static_cast<int64_t>(std::max<size_t>(
+        o.result.stats.alphabet_size, opt.max_candidates_per_iteration));
+    const std::string what = "budgeted deadline " + std::to_string(ms);
+#if TRAJPATTERN_OBS_ENABLED
+    EXPECT_EQ(o.scored, o.evaluations) << what;
+#endif
+    if (!o.result.stats.aborted) {
+      EXPECT_EQ(o.evaluations, evaluated) << what;
+      continue;
+    }
+    EXPECT_GE(o.evaluations, evaluated) << what;
+    EXPECT_LT(o.evaluations - evaluated, batch_cap) << what;
+  }
 }
 
 // ------------------------------------------- baseline miners, same contract

@@ -110,5 +110,21 @@ TEST(SimdKernelTest, AddIntoIsPlainIeeeAddition) {
   }
 }
 
+TEST(SimdKernelTest, SumIntoMatchesAddIntoOnEveryTailLength) {
+  for (size_t n = 0; n <= 40; ++n) {
+    const std::vector<double> a = ColumnData(n, 6000 + n);
+    const std::vector<double> b = ColumnData(n, 7000 + n);
+    std::vector<double> dispatched(n), portable(n);
+    std::vector<double> added = a;
+    simd::SumInto(dispatched.data(), a.data(), b.data(), n);
+    simd::SumIntoPortable(portable.data(), a.data(), b.data(), n);
+    simd::AddIntoPortable(added.data(), b.data(), n);
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_TRUE(BitEq(dispatched[k], added[k])) << "n=" << n << " k=" << k;
+      EXPECT_TRUE(BitEq(portable[k], added[k])) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace trajpattern

@@ -1,14 +1,17 @@
-// Tests of the PR-3 window-scoring kernel work: streaming-vs-gather
-// bit-identity, the ω-aware early-abandon contract, all-wildcard
-// rejection, arena warm-up edge cases, and checkpoint v1/v2 compat.
+// Tests of the window-scoring kernels: streaming-vs-gather bit-identity,
+// the tiled prefix-sharing batch kernel against the per-pattern paths,
+// the ω-aware early-abandon contract, all-wildcard rejection, arena
+// warm-up edge cases, and checkpoint v1/v2 compat.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/miner.h"
@@ -16,6 +19,7 @@
 #include "core/nm_engine.h"
 #include "datagen/uniform_generator.h"
 #include "io/checkpoint.h"
+#include "obs/obs.h"
 #include "prob/log_space.h"
 #include "prob/rng.h"
 
@@ -294,6 +298,229 @@ TEST(WindowKernelTest, MinerOmegaPruningPreservesTopK) {
   }
   EXPECT_GT(pruned.stats.candidates_pruned, 0);
   EXPECT_GT(pruned.stats.trajectories_skipped, 0);
+}
+
+/// A dataset spanning several tiles of the batch kernel, which cuts the
+/// trajectories into tiles of about 4096 points: 15,268 points in all,
+/// one 5000-point trajectory (longer than a tile, so a tile alone), and
+/// trajectories of 1-3 points, shorter than most patterns.  Random walks
+/// so some cells score well.
+TrajectoryDataset TiledData(uint64_t seed) {
+  std::vector<int> lengths;
+  for (int i = 0; i < 30; ++i) lengths.push_back(60 + 17 * (i % 9));
+  lengths.insert(lengths.begin() + 7, 5000);
+  for (int len : {1, 2, 3, 1}) lengths.push_back(len);
+  for (int i = 0; i < 40; ++i) lengths.push_back(100 + 11 * (i % 13));
+  Rng rng(seed);
+  TrajectoryDataset d;
+  int id = 0;
+  for (int len : lengths) {
+    Trajectory t("t" + std::to_string(id++));
+    double x = rng.Uniform(0.0, 1.0);
+    double y = rng.Uniform(0.0, 1.0);
+    for (int s = 0; s < len; ++s) {
+      x = std::clamp(x + rng.Uniform(-0.08, 0.08), 0.0, 1.0);
+      y = std::clamp(y + rng.Uniform(-0.08, 0.08), 0.0, 1.0);
+      t.Append(Point2(x, y), 0.05);
+    }
+    d.Add(std::move(t));
+  }
+  EXPECT_GT(d.TotalPoints(), 3u * 4096u);
+  return d;
+}
+
+/// A shuffled batch shaped like the miner's: families of candidates
+/// sharing a prefix (the sorted kernel reuses its window sums), mixed
+/// lengths 1-7, leading, trailing and interior wildcards, patterns with a
+/// single specified position, and duplicates.  Every pattern has at
+/// least one specified position.
+std::vector<Pattern> TiledBatch(const NmEngine& engine, uint64_t seed) {
+  const std::vector<CellId> cells = engine.TouchedCells();
+  EXPECT_GE(cells.size(), 4u);
+  Rng rng(seed);
+  const auto cell = [&] {
+    return cells[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int>(cells.size()) - 1))];
+  };
+  const auto random_run = [&](int len) {
+    std::vector<CellId> run;
+    for (int j = 0; j < len; ++j) {
+      run.push_back(rng.Bernoulli(0.25) ? kWildcardCell : cell());
+    }
+    return run;
+  };
+  const CellId w = kWildcardCell;
+  const CellId a = cells[0];
+  const CellId b = cells[1];
+  std::vector<Pattern> batch = {
+      Pattern(a),
+      Pattern(std::vector<CellId>{w, a}),
+      Pattern(std::vector<CellId>{a, w}),
+      Pattern(std::vector<CellId>{w, a, w}),
+      Pattern(std::vector<CellId>{w, w, a, b}),
+      Pattern(std::vector<CellId>{a, b, w, w}),
+      Pattern(std::vector<CellId>{a, w, w, b}),
+      Pattern(std::vector<CellId>{a, w, b, w, a, w, b}),
+  };
+  for (int family = 0; family < 12; ++family) {
+    const std::vector<CellId> prefix = random_run(rng.UniformInt(1, 4));
+    for (int sibling = 0; sibling < 10; ++sibling) {
+      std::vector<CellId> cand = prefix;
+      for (CellId c : random_run(rng.UniformInt(1, 3))) cand.push_back(c);
+      cand.back() = rng.Bernoulli(0.2) ? kWildcardCell : cand.back();
+      if (std::all_of(cand.begin(), cand.end(),
+                      [](CellId c) { return c == kWildcardCell; })) {
+        cand.front() = cell();
+      }
+      batch.push_back(Pattern(cand));
+    }
+  }
+  for (int i = 0; i < 20; ++i) batch.push_back(batch[static_cast<size_t>(i * 5)]);
+  for (size_t i = batch.size(); i > 1; --i) {
+    std::swap(batch[i - 1], batch[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int>(i) - 1))]);
+  }
+  return batch;
+}
+
+TEST(WindowKernelTest, TiledBatchMatchesPerPatternAndGatherBitwise) {
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(3);
+  NmEngine engine(d, space);
+  const std::vector<Pattern> batch = TiledBatch(engine, 5);
+
+  std::vector<double> nm(batch.size()), match(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    nm[i] = engine.NmTotal(batch[i]);
+    match[i] = engine.MatchTotal(batch[i]);
+  }
+  engine.set_window_kernel(WindowKernel::kGather);
+  EXPECT_TRUE(BitEqual(engine.NmTotalBatch(batch, 1), nm));
+  EXPECT_TRUE(BitEqual(engine.MatchTotalBatch(batch, 1), match));
+  engine.set_window_kernel(WindowKernel::kStreaming);
+  for (int threads : {1, 4}) {
+    const std::vector<double> nm_batch = engine.NmTotalBatch(batch, threads);
+    const std::vector<double> match_batch =
+        engine.MatchTotalBatch(batch, threads);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(BitEqual(nm_batch[i], nm[i]))
+          << batch[i].ToString() << " at " << threads << " threads";
+      EXPECT_TRUE(BitEqual(match_batch[i], match[i]))
+          << batch[i].ToString() << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(WindowKernelTest, TiledBatchUnderMemoryBudgetIsBitIdentical) {
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(4);
+  NmEngine reference(d, space);
+  std::vector<Pattern> batch = TiledBatch(reference, 6);
+  batch.resize(60);  // every chunk re-warms its columns: keep it short
+  const std::vector<double> want_nm = reference.NmTotalBatch(batch, 1);
+  const std::vector<double> want_match = reference.MatchTotalBatch(batch, 1);
+
+  for (int threads : {1, 4}) {
+    NmEngine engine(d, space);
+    RunContext run;
+    run.memory_budget_bytes = 8 * engine.column_bytes();
+    BatchScoreStats stats;
+    EXPECT_TRUE(BitEqual(
+        engine.NmTotalBatch(batch, threads, &stats, NmEngine::kNoPruning, &run),
+        want_nm));
+    EXPECT_EQ(stats.stop, StopReason::kNone);
+    EXPECT_GT(stats.chunks, 1);
+    EXPECT_EQ(engine.num_pattern_evaluations(),
+              static_cast<int64_t>(batch.size()));
+    EXPECT_TRUE(
+        BitEqual(engine.MatchTotalBatch(batch, threads, nullptr, &run),
+                 want_match));
+    EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
+  }
+}
+
+TEST(WindowKernelTest, TiledPruningAbandonsWhereAPerTrajectoryScanWould) {
+  // The reference abandon: add Nm(p, i) over i = 0, 1, ... and stop as
+  // soon as the running sum is below ω with trajectories left.  The
+  // tiled kernel checks after every trajectory too, so its pruned scores
+  // and skip counts match this exactly, at any thread count.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(7);
+  NmEngine engine(d, space);
+  const std::vector<Pattern> batch = TiledBatch(engine, 8);
+  std::vector<double> exact = engine.NmTotalBatch(batch, 1);
+  std::vector<double> sorted = exact;
+  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
+  const double omega = sorted[10];
+
+  std::vector<double> want(batch.size());
+  size_t want_pruned = 0;
+  int64_t want_skipped = 0;
+  for (size_t k = 0; k < batch.size(); ++k) {
+    double sum = 0.0;
+    for (size_t i = 0; i < d.size(); ++i) {
+      sum += engine.Nm(batch[k], i);
+      if (sum < omega && i + 1 < d.size()) {
+        ++want_pruned;
+        want_skipped += static_cast<int64_t>(d.size() - i - 1);
+        break;
+      }
+    }
+    want[k] = sum;
+  }
+  ASSERT_GT(want_pruned, 0u);
+  for (int threads : {1, 4}) {
+    BatchScoreStats stats;
+    EXPECT_TRUE(
+        BitEqual(engine.NmTotalBatch(batch, threads, &stats, omega), want))
+        << threads << " threads";
+    EXPECT_EQ(stats.candidates_pruned, want_pruned);
+    EXPECT_EQ(stats.trajectories_skipped, want_skipped);
+  }
+}
+
+TEST(WindowKernelTest, CancelBetweenTilesDiscardsOnlyTheStoppedBatch) {
+  // A canceller thread trips the token while the tiled kernel runs (the
+  // columns are pre-warmed, so the batch is all scoring).  The stopped
+  // batch counts nothing as scored, and the engine's next batch is exact.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(9);
+  NmEngine engine(d, space);
+  const std::vector<Pattern> family = TiledBatch(engine, 10);
+  std::vector<Pattern> batch;
+  for (int rep = 0; rep < 40; ++rep) {
+    batch.insert(batch.end(), family.begin(), family.end());
+  }
+  std::vector<double> want(family.size());
+  for (size_t i = 0; i < family.size(); ++i) want[i] = engine.NmTotal(family[i]);
+  const int64_t evaluations = engine.num_pattern_evaluations();
+#if TRAJPATTERN_OBS_ENABLED
+  obs::Counter* const scored =
+      obs::MetricsRegistry::Global().GetCounter("nm.candidates_scored");
+  const int64_t scored_before = scored->Value();
+#endif
+
+  RunContext run;
+  const CancellationToken token = run.token;
+  std::thread canceller([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    token.Cancel();
+  });
+  BatchScoreStats stats;
+  engine.NmTotalBatch(batch, 1, &stats, NmEngine::kNoPruning, &run);
+  canceller.join();
+  if (stats.stop == StopReason::kCancelled) {
+    EXPECT_EQ(engine.num_pattern_evaluations(), evaluations);
+#if TRAJPATTERN_OBS_ENABLED
+    EXPECT_EQ(scored->Value(), scored_before);
+#endif
+  } else {
+    // The batch outran the canceller: it must then be complete.
+    EXPECT_EQ(stats.stop, StopReason::kNone);
+    EXPECT_EQ(engine.num_pattern_evaluations(),
+              evaluations + static_cast<int64_t>(batch.size()));
+  }
+  EXPECT_TRUE(BitEqual(engine.NmTotalBatch(family, 1), want));
 }
 
 TEST(WindowKernelTest, AllWildcardPatternsAreRejected) {

@@ -20,8 +20,6 @@ struct MatchMinerOptions {
   /// long patterns die out on their own (match decays with length), so
   /// this is a safety valve.
   size_t max_length = 0;
-  /// Use `NmEngine::TouchedCells` as the alphabet.
-  bool restrict_to_touched_cells = true;
   /// Absolute match threshold below which patterns are dropped from the
   /// frontier.  [14] mines patterns above a user match threshold; keeping
   /// one here prunes the (astronomically many) near-zero-match sequences
@@ -71,7 +69,8 @@ struct MatchMiningResult {
 /// level j+1 candidates join level-j survivors that overlap in j-1
 /// positions, candidates whose length-j prefix or suffix fell below the
 /// running k-th-best threshold are pruned, and the threshold tightens as
-/// better patterns appear.  Exact for the match measure.
+/// better patterns appear.  The alphabet is `NmEngine::TouchedCells`.
+/// Exact for the match measure.
 MatchMiningResult MineMatchPatterns(const NmEngine& engine,
                                     const MatchMinerOptions& options);
 

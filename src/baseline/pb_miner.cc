@@ -23,23 +23,12 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
     top_k.Offer(p, nm);
   };
 
-  std::vector<CellId> alphabet;
-  if (options.restrict_to_touched_cells) {
-    alphabet = engine.TouchedCells();
-  } else {
-    alphabet.resize(engine.space().grid.num_cells());
-    for (int c = 0; c < engine.space().grid.num_cells(); ++c) alphabet[c] = c;
-  }
+  const std::vector<CellId> alphabet = engine.TouchedCells();
 
   // Breadth-first prefix growth; BFS keeps all same-length prefixes live
   // together, matching the projection-based picture ("a large set of
   // prefixes need to be maintained").
-  // One wave of candidates through the batch API, with optional ω-aware
-  // early-abandon against the threshold as of the wave's start (a wave's
-  // own offers only raise ω, so the stale read is conservative).  Pruned
-  // candidates carry their partial-sum upper bound, which the offer
-  // below correctly rejects (bound < ω) and the extensibility bound
-  // scales admissibly.
+  // One wave of candidates through the batch API, scored exactly.
   // Unified abort bookkeeping: every early stop — run-control stop
   // surfaced by the engine, or the prefix cap — reports through the same
   // stop_reason/aborted fields the core miner uses.
@@ -50,11 +39,10 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
   StopReason wave_stop = StopReason::kNone;
   auto score_wave = [&](const std::vector<Pattern>& wave) {
     TP_TRACE_SPAN("pb/score_wave");
-    const double prune_below =
-        options.omega_pruning ? top_k.Omega() : NmEngine::kNoPruning;
     BatchScoreStats bstats;
-    const std::vector<double> nms = engine.NmTotalBatch(
-        wave, options.num_threads, &bstats, prune_below, &options.run);
+    const std::vector<double> nms =
+        engine.NmTotalBatch(wave, options.num_threads, &bstats,
+                            NmEngine::kNoPruning, &options.run);
     AccumulateBatch(bstats, &stats);
     wave_stop = bstats.stop;
     if (wave_stop != StopReason::kNone) {
@@ -64,7 +52,6 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
     }
     stats.candidates_generated += static_cast<int64_t>(wave.size());
     TP_COUNTER_ADD("pb.candidates_evaluated", wave.size());
-    TP_COUNTER_ADD("pb.candidates_pruned", bstats.candidates_pruned);
     return nms;
   };
 

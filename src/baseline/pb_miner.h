@@ -21,8 +21,6 @@ struct PbMinerOptions {
   size_t max_length = 8;
   /// Only patterns at least this long are eligible for the answer.
   size_t min_length = 1;
-  /// Use `NmEngine::TouchedCells` as the alphabet.
-  bool restrict_to_touched_cells = true;
   /// Abort the run once this many prefixes were expanded (0 = unlimited);
   /// models "we need to keep G^c prefixes, which may be too large".
   int64_t max_expanded_prefixes = 0;
@@ -30,14 +28,6 @@ struct PbMinerOptions {
   /// Each expanded prefix's alphabet of extensions is scored as one
   /// `NmEngine::NmTotalBatch`; results are identical for any value.
   int num_threads = 1;
-  /// ω-aware early-abandon (off by default): score waves with
-  /// `prune_below` = the running k-th-best threshold.  A pruned
-  /// extension's stored NM is its partial-sum upper bound, which keeps
-  /// the run exact: the top-k rejects it (bound < ω, and ω only grows),
-  /// and the extensibility bound (c/max_length) * NM scales an upper
-  /// bound into an upper bound, so no prefix that exact PB would expand
-  /// is ever cut — some useless ones may survive longer, never fewer.
-  bool omega_pruning = false;
   /// Run control (cancellation/deadline/memory budget), polled per wave
   /// and by scoring workers mid-wave; see common/run_context.h.  On a
   /// stop the in-flight wave is discarded and the run returns its exact
@@ -46,8 +36,9 @@ struct PbMinerOptions {
 };
 
 /// Counters for a PB run.  The shared work/timing fields live in
-/// `MiningCounters` (candidates generated/evaluated/pruned plus the
-/// warmup/scoring split), identical across all three miners.
+/// `MiningCounters` (candidates generated/evaluated plus the
+/// warmup/scoring split), identical across all three miners;
+/// `candidates_pruned`/`trajectories_skipped` stay 0 (PB scores exactly).
 struct PbMinerStats : MiningCounters {
   int64_t prefixes_expanded = 0;
   size_t peak_live_prefixes = 0;
@@ -72,8 +63,10 @@ struct PbMiningResult {
 /// (c/max_length) * NM(p) reaches the running k-th-best threshold — the
 /// bound the paper criticizes: appended positions are assumed to match
 /// perfectly (log prob 0), so nearly every prefix stays extensible and
-/// the live-prefix set grows ~G^c.  Exact (same top-k as TrajPattern up
-/// to `max_length`) whenever the prefix cap is not hit.
+/// the live-prefix set grows ~G^c.  The alphabet is
+/// `NmEngine::TouchedCells` and every extension is scored exactly.  Exact
+/// (same top-k as TrajPattern up to `max_length`) whenever the prefix cap
+/// is not hit.
 PbMiningResult MinePbPatterns(const NmEngine& engine,
                               const PbMinerOptions& options);
 

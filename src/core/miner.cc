@@ -317,7 +317,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // already in the memo and `ScoreBatch` skips the whole batch.
   std::vector<CellId> alphabet;
   if (options_.restrict_to_touched_cells) {
-    alphabet = engine_->TouchedCells(options_.touched_radius_sigmas);
+    alphabet = engine_->TouchedCells();
   } else {
     alphabet.resize(engine_->space().grid.num_cells());
     for (int c = 0; c < engine_->space().grid.num_cells(); ++c) {

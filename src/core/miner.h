@@ -72,9 +72,6 @@ struct MinerOptions {
   /// paper's fine grids; disable to match §4 verbatim.
   bool restrict_to_touched_cells = true;
 
-  /// Sigma multiple for `TouchedCells`.
-  double touched_radius_sigmas = 3.0;
-
   /// Beam cap on candidates evaluated per iteration, ranked by the
   /// min-max bound min(NM(left), NM(right)) (0 = exact, no cap).  When the
   /// cap fires the mining is no longer guaranteed exact;
@@ -93,12 +90,18 @@ struct MinerOptions {
   /// with `NmEngine::NmTotalBatch(prune_below = ω)`, the current
   /// `TopKPatterns::Omega()`.  A candidate whose running partial sum
   /// falls below ω is abandoned; the memo then stores that partial sum —
-  /// an upper bound on its exact NM that is itself < ω.  This keeps the
-  /// mined top-k identical to exact mining: ω only grows, so a pruned
-  /// pattern can never (re)enter the top-k, and its high/low label under
-  /// any later ω' >= ω is unchanged (true NM <= bound < ω <= ω'), which
-  /// preserves Lemma 1's 1-extension retention and the min-max beam
-  /// bound (an upper bound stays admissible in min(left, right)).
+  /// an upper bound on its exact NM that is itself < ω.  In exact mode
+  /// (no beam) this keeps the mined top-k identical to exact mining: ω
+  /// only grows, so a pruned pattern can never (re)enter the top-k, and
+  /// its high/low label under any later ω' >= ω is unchanged (true NM <=
+  /// bound < ω <= ω'), which preserves Lemma 1's 1-extension retention.
+  /// Under a binding beam (`max_candidates_per_iteration`) the memoized
+  /// bounds also feed the min-max ranking, so they can change which
+  /// candidates the beam stages (with pruning on, perfbench zebra_budget
+  /// seed 1 warms 1,197 columns instead of 1,088).  Top-k identity under
+  /// a beam is therefore observed, not proven: it held in 6,410
+  /// beam-capped fuzz runs (seeds 1-1500, beams 1-16), 27 Fig. 4 runs
+  /// and all 32 stored perfbench seeds.
   /// `MinerStats::candidates_pruned` counts the abandons.
   bool omega_pruning = false;
 
@@ -135,7 +138,11 @@ struct MinerOptions {
 /// Counters reported alongside a mining result.  The shared work/timing
 /// fields (candidates generated/evaluated/pruned, warmup/scoring split)
 /// come from `MiningCounters`, the struct all three miners report
-/// through.
+/// through.  After a stop, the candidate counters (evaluated, pruned,
+/// trajectories skipped) cover completed batches only, so
+/// `candidates_pruned <= candidates_evaluated` here and in every
+/// checkpoint; the discarded batch still adds its warm-up/scoring time
+/// and its evictions (which `NmEngine::cells_evicted()` counts too).
 struct MinerStats : MiningCounters {
   int iterations = 0;
   size_t peak_queue_size = 0;

@@ -937,54 +937,10 @@ std::vector<double> NmEngine::MatchTotalBatch(
                     run);
 }
 
-double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
-  assert(max_gap >= 0);
-  ++num_pattern_evaluations_;
-  const size_t m = p.length();
-  if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
-  const std::vector<const double*> cols = ResolveColumns(p);
-  double total = 0.0;
-  for (size_t i = 0; i < data_->size(); ++i) {
-    const size_t off = offsets_[i];
-    const size_t len = offsets_[i + 1] - off;
-    if (len < m) {
-      total += LogFloor();
-      continue;
-    }
-    // dp[s]: best log-sum of p_0..p_j with p_j matched at snapshot s.
-    std::vector<double> dp(len), prev(len);
-    for (size_t s = 0; s < len; ++s) {
-      prev[s] = cols[0] != nullptr ? cols[0][off + s] : 0.0;
-    }
-    for (size_t j = 1; j < m; ++j) {
-      for (size_t s = 0; s < len; ++s) {
-        double best_prev = kNegInf;
-        // Previous position matched at s-1-gap for gap in [0, max_gap].
-        const size_t lo = s >= static_cast<size_t>(max_gap) + 1
-                              ? s - static_cast<size_t>(max_gap) - 1
-                              : 0;
-        if (s >= 1) {
-          for (size_t sp = lo; sp <= s - 1; ++sp) {
-            best_prev = std::max(best_prev, prev[sp]);
-          }
-        }
-        const double here = cols[j] != nullptr ? cols[j][off + s] : 0.0;
-        dp[s] = best_prev == kNegInf ? kNegInf : best_prev + here;
-      }
-      std::swap(dp, prev);
-    }
-    const double best = *std::max_element(prev.begin(), prev.end());
-    total += best == kNegInf
-                 ? LogFloor()
-                 : best / static_cast<double>(p.SpecifiedCount());
-  }
-  return total;
-}
-
-std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
+std::vector<CellId> NmEngine::TouchedCells() const {
   std::unordered_set<CellId> seen;
   for (const auto& pt : flat_points_) {
-    const double r = radius_sigmas * pt.sigma + space_.delta +
+    const double r = kTouchedRadiusSigmas * pt.sigma + space_.delta +
                      0.5 * std::max(space_.grid.cell_width(),
                                     space_.grid.cell_height());
     for (CellId c : space_.grid.CellsWithin(pt.mean, r)) seen.insert(c);
@@ -992,16 +948,6 @@ std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
   std::vector<CellId> out(seen.begin(), seen.end());
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<ScoredPattern> RerankWithGaps(const NmEngine& engine,
-                                          std::vector<ScoredPattern> patterns,
-                                          int max_gap) {
-  for (auto& sp : patterns) {
-    sp.nm = engine.NmTotalWithGaps(sp.pattern, max_gap);
-  }
-  std::sort(patterns.begin(), patterns.end(), BetterScored);
-  return patterns;
 }
 
 double WindowLogMatch(const std::vector<TrajectoryPoint>& points, size_t begin,

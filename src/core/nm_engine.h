@@ -55,16 +55,20 @@ struct BatchScoreStats {
 
 /// Folds one batch's accounting into a miner's running counters; every
 /// miner calls this after every `NmTotalBatch`/`MatchTotalBatch` so the
-/// three reports stay field-for-field comparable.
+/// three reports stay field-for-field comparable.  A stopped batch
+/// (`batch.stop` set) adds only its time and evictions: that work did
+/// happen, but every miner discards the batch's scores, so its pruning
+/// counters would describe candidates no report counts as evaluated.
 inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
   c->warmup_seconds += batch.warmup_seconds;
   c->scoring_seconds += batch.scoring_seconds;
   c->threads_used = batch.threads_used;
-  c->candidates_pruned += static_cast<int64_t>(batch.candidates_pruned);
-  c->trajectories_skipped += batch.trajectories_skipped;
   c->cells_evicted += static_cast<int64_t>(batch.cells_evicted);
   // stop_reason/aborted stay with the miner: whether a stopped batch
   // aborts the run (and what is discarded) is the miner's decision.
+  if (batch.stop != StopReason::kNone) return;
+  c->candidates_pruned += static_cast<int64_t>(batch.candidates_pruned);
+  c->trajectories_skipped += batch.trajectories_skipped;
 }
 
 /// Which window-scoring kernel `NmEngine` runs.  `kStreaming` is the
@@ -209,12 +213,6 @@ class NmEngine {
                                       BatchScoreStats* stats = nullptr,
                                       const RunContext* run = nullptr) const;
 
-  /// §5 gap semantics: NM where up to `max_gap` unmatched snapshots may be
-  /// skipped between consecutive pattern positions (a gap behaves like a
-  /// run of wildcards that does not count toward the length
-  /// normalization).  Computed by dynamic programming per trajectory.
-  double NmTotalWithGaps(const Pattern& p, int max_gap) const;
-
   /// Hit/miss split of one `WarmCells` call: every non-wildcard entry of
   /// the request either hit an already-resident (or already-staged,
   /// for in-request duplicates) column or missed and was materialized.
@@ -258,11 +256,15 @@ class NmEngine {
                    WarmStats* stats = nullptr,
                    const RunContext* run = nullptr) const;
 
+  /// Sigma multiple of the `TouchedCells` radius.
+  static constexpr double kTouchedRadiusSigmas = 3.0;
+
   /// Cells whose center receives non-negligible probability from at least
-  /// one snapshot: within `radius_sigmas * sigma + delta` of some mean.
-  /// This is the effective singular alphabet; with the paper's fine grids
-  /// almost all of G is empty and scoring it would be pure waste.
-  std::vector<CellId> TouchedCells(double radius_sigmas = 3.0) const;
+  /// one snapshot: within `kTouchedRadiusSigmas * sigma + delta` (plus half
+  /// a cell) of some mean.  This is the effective singular alphabet; with
+  /// the paper's fine grids almost all of G is empty and scoring it would
+  /// be pure waste.
+  std::vector<CellId> TouchedCells() const;
 
   /// Selects the window-scoring kernel (default `kStreaming`).  The
   /// gather kernel exists for bit-identity tests and benchmarks; both
@@ -479,14 +481,6 @@ class NmEngine {
 /// live windows.  Requires begin + |p| <= points.size().
 double WindowLogMatch(const std::vector<TrajectoryPoint>& points, size_t begin,
                       const Pattern& p, const MiningSpace& space);
-
-/// §5 gap post-pass: re-scores `patterns` with `NmTotalWithGaps` (up to
-/// `max_gap` skipped snapshots between consecutive positions) and returns
-/// them re-ranked by the gapped NM.  Gaps relax the contiguity
-/// requirement, so no pattern's score decreases.
-std::vector<ScoredPattern> RerankWithGaps(const NmEngine& engine,
-                                          std::vector<ScoredPattern> patterns,
-                                          int max_gap);
 
 }  // namespace trajpattern
 

@@ -34,22 +34,6 @@ Pattern Pattern::SubPattern(size_t begin, size_t len) const {
                                      cells_.begin() + begin + len));
 }
 
-bool Pattern::IsSuperPatternOf(const Pattern& other) const {
-  if (other.length() > length()) return false;
-  if (other.empty()) return true;
-  for (size_t i = 0; i + other.length() <= length(); ++i) {
-    bool match = true;
-    for (size_t j = 0; j < other.length(); ++j) {
-      if (cells_[i + j] != other.cells_[j]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
 std::string Pattern::ToString() const {
   std::ostringstream os;
   os << "(";

@@ -52,10 +52,6 @@ class Pattern {
   /// Pattern without its last position; length must be >= 2.
   Pattern DropLast() const { return SubPattern(0, length() - 1); }
 
-  /// True iff `other` occurs as a contiguous run in this pattern
-  /// (Def. 3: this is then a super-pattern of `other`).
-  bool IsSuperPatternOf(const Pattern& other) const;
-
   /// "(c3, c7, *, c1)"-style rendering for logs and tests.
   std::string ToString() const;
 

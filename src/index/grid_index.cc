@@ -23,26 +23,10 @@ void GridIndex::Upsert(ObjectId id, const Point2& position) {
   positions_[id] = position;
 }
 
-bool GridIndex::Remove(ObjectId id) {
-  auto it = cells_.find(id);
-  if (it == cells_.end()) return false;
-  DetachFromCell(id, it->second);
-  cells_.erase(it);
-  positions_.erase(id);
-  return true;
-}
-
 void GridIndex::DetachFromCell(ObjectId id, CellId cell) {
   auto& bucket = buckets_[cell];
   bucket.erase(std::remove(bucket.begin(), bucket.end(), id), bucket.end());
   if (bucket.empty()) buckets_.erase(cell);
-}
-
-bool GridIndex::Lookup(ObjectId id, Point2* position) const {
-  auto it = positions_.find(id);
-  if (it == positions_.end()) return false;
-  *position = it->second;
-  return true;
 }
 
 std::vector<GridIndex::ObjectId> GridIndex::QueryBox(

@@ -32,12 +32,6 @@ class GridIndex {
   /// Inserts or moves `id` to `position`.
   void Upsert(ObjectId id, const Point2& position);
 
-  /// Removes `id`; returns false if it was not present.
-  bool Remove(ObjectId id);
-
-  /// Current position of `id`; returns false if not present.
-  bool Lookup(ObjectId id, Point2* position) const;
-
   /// Ids of all objects inside `box` (inclusive bounds), sorted.
   std::vector<ObjectId> QueryBox(const BoundingBox& box) const;
 

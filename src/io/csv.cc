@@ -164,61 +164,6 @@ bool ParseCells(const std::string& field, std::vector<CellId>* cells) {
 
 }  // namespace
 
-void WritePatternGroupsCsv(const std::vector<PatternGroup>& groups,
-                           std::ostream& os) {
-  os << "group,member,nm,length,cells\n";
-  os << std::setprecision(17);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t m = 0; m < groups[g].members.size(); ++m) {
-      const auto& sp = groups[g].members[m];
-      os << g + 1 << "," << m + 1 << "," << sp.nm << ","
-         << sp.pattern.length() << ",";
-      WriteCells(sp.pattern, os);
-      os << "\n";
-    }
-  }
-}
-
-bool ReadPatternGroupsCsv(std::istream& is, std::vector<PatternGroup>* out,
-                          CsvDiagnostic* diag) {
-  out->clear();
-  std::string line;
-  if (!std::getline(is, line)) return Fail(diag, 0, "empty stream (no header)");
-  size_t line_no = 1;
-  long last_group = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = SplitComma(line);
-    if (fields.size() != 5) {
-      return Fail(diag, line_no, "expected 5 fields, got " +
-                                     std::to_string(fields.size()));
-    }
-    long group;
-    double nm;
-    if (!ParseInt(fields[0], &group) || !ParseDouble(fields[2], &nm)) {
-      return Fail(diag, line_no, "malformed numeric field");
-    }
-    if (std::isnan(nm) || nm == std::numeric_limits<double>::infinity()) {
-      return Fail(diag, line_no, "non-finite nm");
-    }
-    // Groups must be contiguous and 1-based in order.
-    if (group != last_group && group != last_group + 1) {
-      return Fail(diag, line_no, "group ids must be contiguous and 1-based");
-    }
-    if (group == last_group + 1) {
-      out->emplace_back();
-      last_group = group;
-    }
-    std::vector<CellId> cells;
-    if (!ParseCells(fields[4], &cells)) {
-      return Fail(diag, line_no, "malformed cell list");
-    }
-    out->back().members.push_back({Pattern(std::move(cells)), nm});
-  }
-  return true;
-}
-
 bool ReadPatternsCsv(std::istream& is, std::vector<ScoredPattern>* out,
                      CsvDiagnostic* diag) {
   out->clear();

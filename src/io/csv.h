@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/pattern.h"
-#include "core/pattern_group.h"
 #include "trajectory/trajectory.h"
 
 namespace trajpattern {
@@ -47,15 +46,6 @@ void WritePatternsCsv(const std::vector<ScoredPattern>& patterns,
 /// can never exceed 0, let alone be NaN).
 bool ReadPatternsCsv(std::istream& is, std::vector<ScoredPattern>* out,
                      CsvDiagnostic* diag = nullptr);
-
-/// Writes pattern groups as CSV `group,member,nm,length,cells` (same
-/// cell syntax as `WritePatternsCsv`), groups and members in order.
-void WritePatternGroupsCsv(const std::vector<PatternGroup>& groups,
-                           std::ostream& os);
-
-/// Parses the format produced by `WritePatternGroupsCsv`.
-bool ReadPatternGroupsCsv(std::istream& is, std::vector<PatternGroup>* out,
-                          CsvDiagnostic* diag = nullptr);
 
 }  // namespace trajpattern
 

@@ -36,8 +36,7 @@ void AppendEscaped(const std::string& s, std::string* out) {
 }  // namespace
 
 std::string FlightRecordJson(const std::string& trigger,
-                             const std::string& detail,
-                             const FlightRecordOptions& opts) {
+                             const std::string& detail) {
   const int64_t wall_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -63,7 +62,7 @@ std::string FlightRecordJson(const std::string& trigger,
   // the lines splice straight into an array.
   out += ",\n\"journal\": [\n";
   const std::vector<std::string> tail =
-      journal.TailLines(opts.max_journal_events);
+      journal.TailLines(kFlightMaxJournalEvents);
   for (size_t i = 0; i < tail.size(); ++i) {
     if (i != 0) out += ",\n";
     out += tail[i];
@@ -79,9 +78,9 @@ std::string FlightRecordJson(const std::string& trigger,
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.ts_us < b.ts_us;
             });
-  if (events.size() > opts.max_trace_events) {
+  if (events.size() > kFlightMaxTraceEvents) {
     events.erase(events.begin(),
-                 events.end() - static_cast<ptrdiff_t>(opts.max_trace_events));
+                 events.end() - static_cast<ptrdiff_t>(kFlightMaxTraceEvents));
   }
   for (size_t i = 0; i < events.size(); ++i) {
     if (i != 0) out += ",\n";
@@ -97,10 +96,9 @@ std::string FlightRecordJson(const std::string& trigger,
 
 std::string WriteFlightRecord(const std::string& dir,
                               const std::string& trigger,
-                              const std::string& detail,
-                              const FlightRecordOptions& opts) {
+                              const std::string& detail) {
   if (dir.empty()) return "";
-  const std::string body = FlightRecordJson(trigger, detail, opts);
+  const std::string body = FlightRecordJson(trigger, detail);
   const int64_t wall_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())

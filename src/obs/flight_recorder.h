@@ -6,16 +6,14 @@
 
 namespace trajpattern::obs {
 
-/// Bounds on how much recent history a flight record retains.  The
-/// record is a post-mortem, not an archive: the tail is what explains
+/// Newest journal events a flight record includes (the journal's own
+/// tail ring caps what is available; see RunJournal::set_ring_capacity).
+/// The record is a post-mortem, not an archive: the tail is what explains
 /// the death.
-struct FlightRecordOptions {
-  /// Newest journal events included (the journal's own tail ring caps
-  /// what is available; see RunJournal::set_ring_capacity).
-  size_t max_journal_events = 256;
-  /// Newest trace spans/counters included, across all threads.
-  size_t max_trace_events = 512;
-};
+inline constexpr size_t kFlightMaxJournalEvents = 256;
+/// Newest trace spans/counters a flight record includes, across all
+/// threads.
+inline constexpr size_t kFlightMaxTraceEvents = 512;
 
 /// Assembles the crash flight record as a JSON document: the trigger,
 /// the journal's run table, the last journal events, the newest trace
@@ -23,8 +21,7 @@ struct FlightRecordOptions {
 /// Safe to call from a catch block or an abort path — it only reads the
 /// global recorders.
 std::string FlightRecordJson(const std::string& trigger,
-                             const std::string& detail,
-                             const FlightRecordOptions& opts = {});
+                             const std::string& detail);
 
 /// Writes `FlightRecordJson` to `dir/flight_<unix_ms>[_<n>].json` (the
 /// `_<n>` suffix disambiguates same-millisecond dumps), bumps the
@@ -32,8 +29,7 @@ std::string FlightRecordJson(const std::string& trigger,
 /// the artifact.  Returns the path, or "" on I/O failure.
 std::string WriteFlightRecord(const std::string& dir,
                               const std::string& trigger,
-                              const std::string& detail,
-                              const FlightRecordOptions& opts = {});
+                              const std::string& detail);
 
 }  // namespace trajpattern::obs
 

@@ -1,10 +1,6 @@
 #include "prediction/dead_reckoning.h"
 
 #include <cassert>
-#include <functional>
-#include <string>
-
-#include "prob/rng.h"
 
 namespace trajpattern {
 
@@ -15,35 +11,19 @@ DeadReckoningResult SimulateDeadReckoning(const Trajectory& actual,
   result.server_view = Trajectory(actual.id());
   if (actual.empty()) return result;
   model->Initialize(actual[0].mean);
-  result.server_view.Append(actual[0].mean, opt.uncertainty / opt.c);
-  // Per-trajectory loss stream derived from the trajectory id so results
-  // are reproducible and independent of evaluation order.
-  Rng loss_rng(opt.loss_seed ^
-               std::hash<std::string>{}(actual.id()) * 0x9e3779b97f4a7c15ULL);
-  int elapsed = 0;  // snapshots since the last report
+  const double sigma = opt.uncertainty / opt.c;
+  result.server_view.Append(actual[0].mean, sigma);
   for (size_t t = 1; t < actual.size(); ++t) {
     const Point2 predicted = model->PredictNext();
     ++result.predictions;
-    ++elapsed;
-    const double tolerance = opt.UncertaintyAt(elapsed);
-    if (Distance(predicted, actual[t].mean) > tolerance) {
+    if (Distance(predicted, actual[t].mean) > opt.uncertainty) {
       ++result.mispredictions;
-      if (opt.report_loss_probability > 0.0 &&
-          loss_rng.Bernoulli(opt.report_loss_probability)) {
-        // The report never arrived: the server's belief stays the
-        // (wrong) prediction; the object retries next snapshot.
-        ++result.lost_reports;
-        model->AdvancePredicted(predicted);
-        result.server_view.Append(predicted, tolerance / opt.c);
-      } else {
-        const Vec2 velocity = actual[t].mean - actual[t - 1].mean;
-        model->AdvanceReported(actual[t].mean, velocity);
-        elapsed = 0;
-        result.server_view.Append(actual[t].mean, opt.uncertainty / opt.c);
-      }
+      const Vec2 velocity = actual[t].mean - actual[t - 1].mean;
+      model->AdvanceReported(actual[t].mean, velocity);
+      result.server_view.Append(actual[t].mean, sigma);
     } else {
       model->AdvancePredicted(predicted);
-      result.server_view.Append(predicted, tolerance / opt.c);
+      result.server_view.Append(predicted, sigma);
     }
     model->ObserveActual(actual[t].mean);
   }

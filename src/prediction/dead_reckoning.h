@@ -13,25 +13,6 @@ struct DeadReckoningOptions {
   double uncertainty = 0.01;
   /// The constant c of §3.1; the server-side belief carries sigma = U/c.
   double c = 2.0;
-  /// §3.1 alternative: U as a function of the elapse time — the
-  /// tolerance (and the recorded sigma) grows by this much per snapshot
-  /// since the last report.  0 reproduces the constant-U scheme the
-  /// paper assumes for its experiments.
-  double uncertainty_growth = 0.0;
-  /// §3.1: "there may be an error during the communication ... the
-  /// location information may be lost during the transmission."
-  /// Probability that a report message is dropped; the object retries at
-  /// the next snapshot (the prediction error persists meanwhile).  This
-  /// is the paper's stated reason for sizing c: a 5% loss rate pairs
-  /// with c = 2.  Requires a seed for reproducibility.
-  double report_loss_probability = 0.0;
-  /// Seed for the loss process (per-trajectory streams are derived).
-  uint64_t loss_seed = 1;
-
-  /// Tolerance in effect `elapsed` snapshots after the last report.
-  double UncertaintyAt(int elapsed) const {
-    return uncertainty + uncertainty_growth * elapsed;
-  }
 };
 
 /// Outcome of replaying one actual trajectory through the reporting loop.
@@ -41,9 +22,6 @@ struct DeadReckoningResult {
   /// Predictions that missed by more than U, forcing a report — the
   /// paper's "mis-predictions" (§6.1).
   int mispredictions = 0;
-  /// Report messages lost in transit (each also counts as a
-  /// misprediction; the server kept its stale belief that snapshot).
-  int lost_reports = 0;
   /// The imprecise trajectory the server records: reported locations and
   /// accepted predictions, each with sigma = U/c.  This is exactly the
   /// mining input format of §3.2.

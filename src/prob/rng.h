@@ -32,11 +32,6 @@ class Rng {
     return std::normal_distribution<double>(mean, sigma)(engine_);
   }
 
-  /// Lognormal sample (of the underlying normal's mu/sigma).
-  double Lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   /// True with probability p.
   bool Bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);

@@ -25,7 +25,7 @@ std::vector<ReportEvent> FaultInjector::Inject(
     ReportEvent e = event;
     if (rng.Bernoulli(options_.corrupt_rate)) {
       ++local.corrupted;
-      if (rng.Bernoulli(options_.corrupt_nan_fraction)) {
+      if (rng.Bernoulli(kCorruptNanFraction)) {
         e.location = Point2(std::numeric_limits<double>::quiet_NaN(),
                             std::numeric_limits<double>::quiet_NaN());
       } else {
@@ -38,7 +38,7 @@ std::vector<ReportEvent> FaultInjector::Inject(
     }
     if (rng.Bernoulli(options_.delay_rate)) {
       ++local.delayed;
-      e.time += rng.Uniform(0.0, options_.max_delay);
+      e.time += rng.Uniform(0.0, kMaxDelay);
     }
     const bool duplicate = rng.Bernoulli(options_.duplicate_rate);
     const bool reorder = rng.Bernoulli(options_.reorder_rate);

@@ -35,15 +35,14 @@ struct FaultInjectorOptions {
   double duplicate_rate = 0.0;
   /// Report swaps delivery order with the previously emitted one.
   double reorder_rate = 0.0;
-  /// Report's timestamp slips late by up to `max_delay`.
+  /// Report's timestamp slips late by up to `FaultInjector::kMaxDelay`.
   double delay_rate = 0.0;
-  double max_delay = 1.0;
-  /// Report's coordinates are corrupted.
+  /// Report's coordinates are corrupted.  A share of
+  /// `FaultInjector::kCorruptNanFraction` become NaN coordinates (caught
+  /// at ingest); the rest are finite teleports of magnitude
+  /// ~`corrupt_offset` (they pass ingest and must be caught by the
+  /// `TrajectoryValidator`).
   double corrupt_rate = 0.0;
-  /// Fraction of corruptions that are NaN coordinates (caught at ingest);
-  /// the rest are finite teleports of magnitude ~`corrupt_offset` (they
-  /// pass ingest and must be caught by the `TrajectoryValidator`).
-  double corrupt_nan_fraction = 0.25;
   double corrupt_offset = 25.0;
   uint64_t seed = 1;
 };
@@ -64,6 +63,11 @@ struct FaultStats {
 /// always yields the same faulted stream.
 class FaultInjector {
  public:
+  /// Largest lateness a delayed report's timestamp slips by.
+  static constexpr double kMaxDelay = 1.0;
+  /// Share of corruptions that are NaN coordinates.
+  static constexpr double kCorruptNanFraction = 0.25;
+
   explicit FaultInjector(const FaultInjectorOptions& options)
       : options_(options) {}
 

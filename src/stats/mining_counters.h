@@ -16,19 +16,25 @@ namespace trajpattern {
 struct MiningCounters {
   /// Candidates staged by generation (before memo dedup).
   int64_t candidates_generated = 0;
-  /// Candidates actually scored against the dataset.
+  /// Candidates actually scored against the dataset, in completed
+  /// batches (a stopped batch is discarded whole).
   int64_t candidates_evaluated = 0;
   /// Candidates early-abandoned by ω-pruning (counted within
-  /// `candidates_evaluated`; 0 unless the miner enables pruning).
+  /// `candidates_evaluated`, so never above it; 0 unless the miner
+  /// enables pruning).
   int64_t candidates_pruned = 0;
   /// Per-trajectory evaluations those abandons skipped (work saved).
   int64_t trajectories_skipped = 0;
   /// Engine arena columns shed (LRU) to honor a memory budget (0 unless
   /// the run carried one; see `RunContext::memory_budget_bytes`).
+  /// Includes a stopped batch's evictions, as `NmEngine::cells_evicted()`
+  /// does: they happened even though the batch was discarded.
   int64_t cells_evicted = 0;
-  /// Time spent materializing cell columns (serial side of the batches).
+  /// Time spent materializing cell columns (serial side of the batches),
+  /// including a stopped batch's.
   double warmup_seconds = 0.0;
-  /// Time spent scoring candidates (the parallel region).
+  /// Time spent scoring candidates (the parallel region), including a
+  /// stopped batch's.
   double scoring_seconds = 0.0;
   /// Worker count the batches ran with (resolved from `num_threads`).
   int threads_used = 1;

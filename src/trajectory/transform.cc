@@ -1,6 +1,5 @@
 #include "trajectory/transform.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace trajpattern {
@@ -20,31 +19,6 @@ Trajectory ToVelocityTrajectory(const Trajectory& t) {
 TrajectoryDataset ToVelocityTrajectories(const TrajectoryDataset& d) {
   TrajectoryDataset out;
   for (const auto& t : d) out.Add(ToVelocityTrajectory(t));
-  return out;
-}
-
-TrajectoryDataset NormalizeToUnitSquare(const TrajectoryDataset& d,
-                                        const BoundingBox& box) {
-  assert(!box.empty());
-  const double w = box.width();
-  const double h = box.height();
-  assert(w > 0 && h > 0);
-  // Conservative sigma scale: shrinking by the larger factor would
-  // understate uncertainty on the other axis, so use the smaller shrink
-  // (i.e. divide by the larger extent's factor per axis is impossible with
-  // isotropic sigma; pick the factor that keeps sigma's covered fraction
-  // at least as large).
-  const double sigma_scale = 1.0 / std::max(w, h);
-  TrajectoryDataset out;
-  for (const auto& t : d) {
-    Trajectory nt(t.id());
-    for (const auto& p : t) {
-      nt.Append(Point2((p.mean.x - box.min().x) / w,
-                       (p.mean.y - box.min().y) / h),
-                p.sigma * sigma_scale);
-    }
-    out.Add(std::move(nt));
-  }
   return out;
 }
 

@@ -17,15 +17,6 @@ Trajectory ToVelocityTrajectory(const Trajectory& t);
 /// Applies `ToVelocityTrajectory` to every trajectory in `d`.
 TrajectoryDataset ToVelocityTrajectories(const TrajectoryDataset& d);
 
-/// Uniformly translates and scales every snapshot mean so that `box` maps
-/// onto the unit square, scaling sigmas by the same factor (the larger of
-/// the two axis factors keeps the uncertainty conservative when the box is
-/// not square).  Velocity spaces have data-dependent extents; normalizing
-/// them lets grid sizes and deltas be expressed as fractions of the space,
-/// as in §6.1 ("g_x, g_y, and delta are set to 1/1000 of the side").
-TrajectoryDataset NormalizeToUnitSquare(const TrajectoryDataset& d,
-                                        const BoundingBox& box);
-
 }  // namespace trajpattern
 
 #endif  // TRAJPATTERN_TRAJECTORY_TRANSFORM_H_

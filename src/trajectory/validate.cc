@@ -97,7 +97,7 @@ Status TrajectoryValidator::Repair(Trajectory* t,
   size_t faulty = 0;
   for (SnapshotFault f : faults) faulty += f != SnapshotFault::kOk;
   const size_t trusted = n - faulty;
-  if (trusted < policy_.min_valid_points) {
+  if (trusted < kMinValidPoints) {
     return Status::FailedPrecondition(
         "trajectory '" + t->id() + "': only " + std::to_string(trusted) +
         " trustworthy snapshots of " + std::to_string(n));
@@ -105,13 +105,15 @@ Status TrajectoryValidator::Repair(Trajectory* t,
   if (faulty == 0) return Status::Ok();
   if (!policy_.repair ||
       static_cast<double>(faulty) >
-          policy_.max_fault_fraction * static_cast<double>(n)) {
+          kMaxFaultFraction * static_cast<double>(n)) {
     return Status::DataLoss("trajectory '" + t->id() + "': " +
                             std::to_string(faulty) + " of " +
                             std::to_string(n) + " snapshots faulty");
   }
 
-  // Nearest trusted snapshot on each side of every position.
+  // Nearest trusted snapshot on each side of every position; at least
+  // one side has one.
+  static_assert(kMinValidPoints >= 1);
   constexpr size_t kNone = static_cast<size_t>(-1);
   std::vector<size_t> prev(n, kNone), next(n, kNone);
   for (size_t i = 0, last = kNone; i < n; ++i) {
@@ -130,17 +132,15 @@ Status TrajectoryValidator::Repair(Trajectory* t,
     if (faults[i] == SnapshotFault::kBadSigma) {
       // The location was reported; only the uncertainty is unusable.
       // Copy the nearest trusted sigma (the reporting scheme's sigma is
-      // slowly varying) or fall back to the policy floor.
+      // slowly varying); kMinValidPoints >= 1 guarantees one exists.
       if (l != kNone && r != kNone) {
         p.sigma = (i - l) <= (r - i) ? (*t)[l].sigma : (*t)[r].sigma;
       } else if (l != kNone) {
         p.sigma = (*t)[l].sigma;
-      } else if (r != kNone) {
-        p.sigma = (*t)[r].sigma;
       } else {
-        p.sigma = policy_.sigma_floor;
+        p.sigma = (*t)[r].sigma;
       }
-      p.sigma = std::max(p.sigma, policy_.sigma_floor);
+      p.sigma = std::max(p.sigma, kSigmaFloor);
     } else {
       // The location itself is untrustworthy: interpolate between the
       // trusted neighbors (hold flat past the ends) and inflate sigma with
@@ -158,18 +158,12 @@ Status TrajectoryValidator::Repair(Trajectory* t,
         p.mean = (*t)[l].mean;
         base_sigma = (*t)[l].sigma;
         steps = i - l;
-      } else if (r != kNone) {
+      } else {
         p.mean = (*t)[r].mean;
         base_sigma = (*t)[r].sigma;
         steps = r - i;
-      } else {
-        // Unreachable while min_valid_points >= 1; keep deterministic
-        // behavior for pathological policies.
-        p.mean = Point2(0.0, 0.0);
-        base_sigma = policy_.sigma_floor;
-        steps = n;
       }
-      p.sigma = std::max(base_sigma, policy_.sigma_floor) +
+      p.sigma = std::max(base_sigma, kSigmaFloor) +
                 policy_.sigma_growth * static_cast<double>(steps);
     }
     if (repaired_count != nullptr) ++*repaired_count;

@@ -35,21 +35,10 @@ struct ValidationPolicy {
   /// further than `max_jump * elapsed_snapshots` from the last trusted one
   /// is a teleport.  0 disables teleport detection.
   double max_jump = 0.0;
-  /// Sigma assigned when a bad-sigma snapshot has no trusted neighbor to
-  /// copy from.  Must be positive for repaired snapshots to pass the
-  /// validator's own sigma check; the validator clamps non-finite or
-  /// non-positive values back to this default.
-  double sigma_floor = 1e-3;
   /// Extra sigma per snapshot of distance from the nearest trusted
   /// neighbor, applied to repaired locations: the same "uncertainty grows
   /// with elapse time" regime as Eq. 1's dead reckoning (§3.1).
   double sigma_growth = 0.01;
-  /// Quarantine a trajectory when more than this fraction of its
-  /// snapshots is faulty — too little signal to trust a repair.
-  double max_fault_fraction = 0.5;
-  /// Drop a trajectory outright when fewer than this many snapshots are
-  /// trustworthy (nothing left to interpolate between).
-  size_t min_valid_points = 2;
 };
 
 /// What a `Validate` pass did, for logs and the fault-tolerance bench.
@@ -76,15 +65,21 @@ struct ValidationReport {
 /// same input and policy always produce the same output.
 class TrajectoryValidator {
  public:
+  /// Smallest sigma a repaired snapshot gets.  Positive, so repaired
+  /// snapshots pass the validator's own sigma check.
+  static constexpr double kSigmaFloor = 1e-3;
+  /// Quarantine a trajectory when more than this fraction of its
+  /// snapshots is faulty — too little signal to trust a repair.
+  static constexpr double kMaxFaultFraction = 0.5;
+  /// Drop a trajectory outright when fewer than this many snapshots are
+  /// trustworthy (nothing left to interpolate between).
+  static constexpr size_t kMinValidPoints = 2;
+
   explicit TrajectoryValidator(const ValidationPolicy& policy)
       : policy_(policy) {
-    // A repair that installs sigma <= 0 would itself fail the kBadSigma
-    // test — the validator must not manufacture the faults it exists to
-    // remove.  Same for a negative growth rate, which could walk an
-    // inflated sigma below the floor.
-    if (!(policy_.sigma_floor > 0.0)) {  // also catches NaN
-      policy_.sigma_floor = ValidationPolicy().sigma_floor;
-    }
+    // A negative growth rate could walk an inflated sigma below the
+    // floor, and the validator must not manufacture the kBadSigma faults
+    // it exists to remove.
     if (!(policy_.sigma_growth >= 0.0)) policy_.sigma_growth = 0.0;
   }
 
@@ -100,8 +95,9 @@ class TrajectoryValidator {
   /// between the nearest trusted neighbors (held flat past the ends), and
   /// their sigmas inflated by `sigma_growth` per snapshot of distance to a
   /// trusted one.  Returns OK when `t` is usable afterwards;
-  /// `kDataLoss` when the fault fraction exceeds the policy (quarantine),
-  /// `kFailedPrecondition` when too few snapshots are trustworthy (drop).
+  /// `kDataLoss` when the fault fraction exceeds `kMaxFaultFraction`
+  /// (quarantine), `kFailedPrecondition` when fewer than
+  /// `kMinValidPoints` snapshots are trustworthy (drop).
   /// `repaired_count`, if given, receives the number of rewritten
   /// snapshots.
   Status Repair(Trajectory* t, size_t* repaired_count = nullptr) const;

@@ -214,13 +214,18 @@ TEST(TrajectoryValidatorTest, RepairFixesBadSigmaKeepingLocation) {
 }
 
 TEST(TrajectoryValidatorTest, QuarantinesWhenTooFaultyOrRepairOff) {
-  ValidationPolicy policy;
-  policy.max_fault_fraction = 0.25;
+  // The quarantine line is TrajectoryValidator::kMaxFaultFraction = 0.5:
+  // exactly half faulty still repairs, one more fault quarantines.
+  const TrajectoryValidator validator{ValidationPolicy{}};
+  Trajectory half_bad = MakeTrajectory(
+      "half", {Point2(0.1, 0.1), Point2(kNan, kNan), Point2(kNan, kNan),
+               Point2(kNan, kNan), Point2(0.5, 0.5), Point2(0.6, 0.6)});
+  EXPECT_TRUE(validator.Repair(&half_bad).ok());
   Trajectory mostly_bad = MakeTrajectory(
       "bad", {Point2(0.1, 0.1), Point2(kNan, kNan), Point2(kNan, kNan),
-              Point2(0.4, 0.4), Point2(0.5, 0.5), Point2(0.6, 0.6)});
-  EXPECT_EQ(TrajectoryValidator(policy).Repair(&mostly_bad).code(),
-            StatusCode::kDataLoss);
+              Point2(kNan, kNan), Point2(kNan, kNan), Point2(0.6, 0.6),
+              Point2(0.7, 0.7)});
+  EXPECT_EQ(validator.Repair(&mostly_bad).code(), StatusCode::kDataLoss);
 
   ValidationPolicy no_repair;
   no_repair.repair = false;
@@ -242,25 +247,30 @@ TEST(TrajectoryValidatorTest, ValidateRoutesRepairQuarantineDrop) {
   in.Add(MakeTrajectory("clean", {Point2(0.1, 0.1), Point2(0.2, 0.2)}));
   in.Add(MakeTrajectory(
       "fixable", {Point2(0.1, 0.1), Point2(kNan, kNan), Point2(0.3, 0.3)}));
+  // 3 of 5 faulty crosses the 0.5 fault fraction => quarantine.
+  in.Add(MakeTrajectory("too_faulty",
+                        {Point2(kNan, kNan), Point2(0.2, 0.2),
+                         Point2(kNan, kNan), Point2(0.4, 0.4),
+                         Point2(kNan, kNan)}));
   in.Add(MakeTrajectory("hopeless",
                         {Point2(kNan, kNan), Point2(kNan, kNan),
                          Point2(0.2, 0.2)}));
-  ValidationPolicy policy;
-  policy.max_fault_fraction = 0.0;  // any fault => quarantine
   ValidationReport report;
   TrajectoryDataset quarantine;
-  const TrajectoryDataset out =
-      TrajectoryValidator(policy).Validate(in, &report, &quarantine);
-  EXPECT_EQ(out.size(), 1u);
+  const TrajectoryDataset out = TrajectoryValidator(ValidationPolicy{})
+                                    .Validate(in, &report, &quarantine);
+  ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].id(), "clean");
+  EXPECT_EQ(out[1].id(), "fixable");
+  EXPECT_EQ(report.repaired, 1u);
   EXPECT_EQ(report.quarantined, 1u);
   ASSERT_EQ(report.quarantined_ids.size(), 1u);
-  EXPECT_EQ(report.quarantined_ids[0], "fixable");
+  EXPECT_EQ(report.quarantined_ids[0], "too_faulty");
   ASSERT_EQ(quarantine.size(), 1u);
-  EXPECT_EQ(quarantine[0].id(), "fixable");
+  EXPECT_EQ(quarantine[0].id(), "too_faulty");
   EXPECT_EQ(report.dropped, 1u);
-  EXPECT_EQ(report.trajectories, 3u);
-  EXPECT_EQ(report.non_finite, 3u);
+  EXPECT_EQ(report.trajectories, 4u);
+  EXPECT_EQ(report.non_finite, 6u);
 }
 
 // ------------------------------------------------------------ hardened CSV

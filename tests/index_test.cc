@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "index/grid_index.h"
@@ -10,23 +9,20 @@
 namespace trajpattern {
 namespace {
 
-TEST(GridIndexTest, UpsertLookupRemove) {
+TEST(GridIndexTest, UpsertMovesObjectsBetweenCells) {
+  using Ids = std::vector<GridIndex::ObjectId>;
   GridIndex index(Grid::UnitSquare(8));
   index.Upsert(1, Point2(0.1, 0.1));
   index.Upsert(2, Point2(0.9, 0.9));
   EXPECT_EQ(index.size(), 2u);
-  Point2 p;
-  ASSERT_TRUE(index.Lookup(1, &p));
-  EXPECT_EQ(p, Point2(0.1, 0.1));
-  // Move object 1 across cells.
+  EXPECT_EQ(index.QueryRadius(Point2(0.1, 0.1), 0.0), Ids{1});
+  // Move object 1 across cells: it must leave its old bucket and be found
+  // at the new position only.
   index.Upsert(1, Point2(0.8, 0.8));
-  ASSERT_TRUE(index.Lookup(1, &p));
-  EXPECT_EQ(p, Point2(0.8, 0.8));
+  EXPECT_TRUE(index.QueryRadius(Point2(0.1, 0.1), 0.05).empty());
+  EXPECT_EQ(index.QueryRadius(Point2(0.8, 0.8), 0.0), Ids{1});
+  EXPECT_EQ(index.NearestNeighbors(Point2(0.0, 0.0), 2), (Ids{1, 2}));
   EXPECT_EQ(index.size(), 2u);
-  EXPECT_TRUE(index.Remove(1));
-  EXPECT_FALSE(index.Remove(1));
-  EXPECT_FALSE(index.Lookup(1, &p));
-  EXPECT_EQ(index.size(), 1u);
 }
 
 TEST(GridIndexTest, QueryBoxMatchesLinearScan) {
@@ -131,9 +127,12 @@ TEST(GridIndexTest, EdgeAndOutsidePointsBucketLikeGridCellOf) {
     // stale bucket entry.
     index.Upsert(id, Point2(0.6, 0.6));
     index.Upsert(id, tricky[i]);
-    Point2 p;
-    ASSERT_TRUE(index.Lookup(id, &p));
-    EXPECT_EQ(p, tricky[i]);
+    const auto away = index.QueryRadius(Point2(0.6, 0.6), 0.0);
+    EXPECT_TRUE(std::find(away.begin(), away.end(), id) == away.end())
+        << "point " << i << " still found at its interim position";
+    const auto back = index.QueryRadius(tricky[i], 0.0);
+    EXPECT_TRUE(std::find(back.begin(), back.end(), id) != back.end())
+        << "point " << i << " not found after moving back";
   }
   EXPECT_EQ(index.size(), tricky.size());
 }
@@ -163,22 +162,6 @@ TEST(GridIndexTest, NearestNeighborsMoreThanStored) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], 1);
   EXPECT_EQ(got[1], 2);
-}
-
-TEST(BoundingBoxSetOpsTest, IntersectsUnionArea) {
-  const BoundingBox a(Point2(0.0, 0.0), Point2(1.0, 1.0));
-  const BoundingBox b(Point2(0.5, 0.5), Point2(2.0, 2.0));
-  const BoundingBox c(Point2(1.5, 1.5), Point2(1.8, 1.8));
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE(a.Intersects(c));
-  EXPECT_TRUE(b.Intersects(c));
-  EXPECT_TRUE(b.ContainsBox(c));
-  EXPECT_FALSE(a.ContainsBox(b));
-  const BoundingBox u = BoundingBox::Union(a, c);
-  EXPECT_EQ(u.min(), Point2(0.0, 0.0));
-  EXPECT_EQ(u.max(), Point2(1.8, 1.8));
-  EXPECT_DOUBLE_EQ(a.Area(), 1.0);
-  EXPECT_DOUBLE_EQ(BoundingBox().Area(), 0.0);
 }
 
 }  // namespace

@@ -86,45 +86,9 @@ TEST(CsvTest, PatternsRoundTripWithWildcards) {
   EXPECT_EQ(back[1].pattern, ps[1].pattern);
 }
 
-TEST(CsvTest, PatternGroupsRoundTrip) {
-  std::vector<PatternGroup> groups(2);
-  groups[0].members = {{Pattern(std::vector<CellId>{1, 2}), -0.5},
-                       {Pattern(std::vector<CellId>{1, 3}), -0.7}};
-  groups[1].members = {{Pattern(std::vector<CellId>{9, kWildcardCell, 9}),
-                        -1.5}};
-  std::stringstream ss;
-  WritePatternGroupsCsv(groups, ss);
-  std::vector<PatternGroup> back;
-  ASSERT_TRUE(ReadPatternGroupsCsv(ss, &back));
-  ASSERT_EQ(back.size(), 2u);
-  ASSERT_EQ(back[0].members.size(), 2u);
-  ASSERT_EQ(back[1].members.size(), 1u);
-  EXPECT_EQ(back[0].members[1].pattern, groups[0].members[1].pattern);
-  EXPECT_DOUBLE_EQ(back[0].members[1].nm, -0.7);
-  EXPECT_EQ(back[1].members[0].pattern, groups[1].members[0].pattern);
-}
-
-TEST(CsvTest, PatternGroupsRejectNonContiguousGroups) {
-  std::stringstream ss(
-      "group,member,nm,length,cells\n"
-      "1,1,-0.5,1,3\n"
-      "3,1,-0.5,1,4\n");  // group 2 missing
-  std::vector<PatternGroup> out;
-  EXPECT_FALSE(ReadPatternGroupsCsv(ss, &out));
-}
-
 TEST(PatternTest, ToStringRendersCellsAndWildcards) {
   const Pattern p(std::vector<CellId>{3, kWildcardCell, 7});
   EXPECT_EQ(p.ToString(), "(c3, *, c7)");
-}
-
-TEST(PatternTest, SuperPatternDetection) {
-  const Pattern p(std::vector<CellId>{1, 2, 3, 4});
-  EXPECT_TRUE(p.IsSuperPatternOf(Pattern(std::vector<CellId>{2, 3})));
-  EXPECT_TRUE(p.IsSuperPatternOf(p));
-  EXPECT_FALSE(p.IsSuperPatternOf(Pattern(std::vector<CellId>{2, 4})));
-  EXPECT_FALSE(
-      Pattern(std::vector<CellId>{2, 3}).IsSuperPatternOf(p));
 }
 
 TEST(PatternTest, ConcatAndDrop) {
@@ -168,25 +132,6 @@ TEST(AsciiArtTest, DensityMarksOccupiedCells) {
   EXPECT_EQ(lines[4][1], '@');
   // Empty cells are blank.
   EXPECT_EQ(lines[2][2], ' ');
-}
-
-TEST(AsciiArtTest, PatternLabelsSequenceOrder) {
-  const Grid grid = Grid::UnitSquare(4);
-  const Pattern p(std::vector<CellId>{grid.At(0, 0), kWildcardCell,
-                                      grid.At(3, 3), grid.At(0, 0)});
-  const std::string art = RenderPattern(p, grid);
-  std::vector<std::string> lines;
-  {
-    std::istringstream is(art);
-    std::string line;
-    while (std::getline(is, line)) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 6u);
-  // Position 1 and 3 share cell (0,0) -> '*'; position 2 at (3,3) -> '2'
-  // (the wildcard is skipped and does not consume a label).
-  EXPECT_EQ(lines[4][1], '*');
-  EXPECT_EQ(lines[1][4], '2');
-  EXPECT_EQ(lines[2][2], '.');
 }
 
 TEST(FlagsTest, ParsesTypedValues) {

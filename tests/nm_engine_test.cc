@@ -110,37 +110,6 @@ TEST(NmEngineTest, WildcardPositionScoresLogOne) {
   EXPECT_NEAR(engine.NmTotal(p), expected, 1e-12);
 }
 
-TEST(NmEngineTest, GapZeroMatchesContiguous) {
-  const UniformGeneratorOptions gopt{.num_objects = 5,
-                                     .num_snapshots = 12,
-                                     .seed = 3};
-  const TrajectoryDataset d = GenerateUniformObjects(gopt);
-  const MiningSpace space = TestSpace(4, 0.15);
-  NmEngine engine(d, space);
-  const auto cells = engine.TouchedCells();
-  ASSERT_GE(cells.size(), 2u);
-  const Pattern p({std::vector<CellId>{cells[0], cells[1], cells[0]}});
-  EXPECT_NEAR(engine.NmTotalWithGaps(p, 0), engine.NmTotal(p), 1e-9);
-}
-
-TEST(NmEngineTest, GapsOnlyImproveNm) {
-  const UniformGeneratorOptions gopt{.num_objects = 5,
-                                     .num_snapshots = 12,
-                                     .seed = 4};
-  const TrajectoryDataset d = GenerateUniformObjects(gopt);
-  const MiningSpace space = TestSpace(4, 0.15);
-  NmEngine engine(d, space);
-  const auto cells = engine.TouchedCells();
-  ASSERT_GE(cells.size(), 3u);
-  const Pattern p({std::vector<CellId>{cells[0], cells[2], cells[1]}});
-  double prev = engine.NmTotalWithGaps(p, 0);
-  for (int gap = 1; gap <= 3; ++gap) {
-    const double cur = engine.NmTotalWithGaps(p, gap);
-    EXPECT_GE(cur, prev - 1e-9) << "gap=" << gap;
-    prev = cur;
-  }
-}
-
 TEST(NmEngineTest, TouchedCellsCoverSnapshotMeans) {
   const UniformGeneratorOptions gopt{.num_objects = 10,
                                      .num_snapshots = 10,

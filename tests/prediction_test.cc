@@ -121,67 +121,6 @@ TEST(DeadReckoningTest, SharpTurnForcesReport) {
   }
 }
 
-TEST(DeadReckoningTest, GrowingUncertaintyDelaysReports) {
-  // Constant slow drift: with constant U the report fires when the drift
-  // passes U; with growing U the tolerance outruns the drift for longer.
-  const Trajectory actual =
-      LineTrajectory(30, Point2(0.0, 0.0), Vec2(0.01, 0.0));
-  DeadReckoningOptions constant;
-  constant.uncertainty = 0.02;
-  DeadReckoningOptions growing = constant;
-  growing.uncertainty_growth = 0.02;
-  LinearModel lm1, lm2;
-  const auto r_const = SimulateDeadReckoning(actual, &lm1, constant);
-  const auto r_grow = SimulateDeadReckoning(actual, &lm2, growing);
-  EXPECT_EQ(r_const.mispredictions, 1);
-  // Tolerance at snapshot t is 0.02 + 0.02 t while the drift is 0.01 t,
-  // so the growing scheme never needs a report.
-  EXPECT_EQ(r_grow.mispredictions, 0);
-  // The recorded sigma reflects the widened tolerance.
-  EXPECT_GT(r_grow.server_view[20].sigma, r_grow.server_view[1].sigma);
-}
-
-TEST(DeadReckoningTest, LostReportsKeepServerStale) {
-  const Trajectory actual =
-      LineTrajectory(20, Point2(0.0, 0.0), Vec2(0.01, 0.0));
-  DeadReckoningOptions opt;
-  opt.uncertainty = 0.02;
-  // Every report lost: the server never learns the velocity, so once the
-  // drift crosses U every subsequent prediction mispredicts.
-  opt.report_loss_probability = 1.0;
-  LinearModel lm;
-  const auto r = SimulateDeadReckoning(actual, &lm, opt);
-  EXPECT_EQ(r.lost_reports, r.mispredictions);
-  EXPECT_GT(r.mispredictions, 10);
-  // Reliable link (the default): no losses, a single report suffices.
-  DeadReckoningOptions reliable;
-  reliable.uncertainty = 0.02;
-  LinearModel lm2;
-  const auto r2 = SimulateDeadReckoning(actual, &lm2, reliable);
-  EXPECT_EQ(r2.lost_reports, 0);
-  EXPECT_EQ(r2.mispredictions, 1);
-}
-
-TEST(DeadReckoningTest, LossIsReproduciblePerSeed) {
-  Trajectory actual("noisy");
-  Rng rng(3);
-  Point2 p(0.5, 0.5);
-  for (int i = 0; i < 40; ++i) {
-    p += Vec2(rng.Normal(0.0, 0.01), rng.Normal(0.0, 0.01));
-    actual.Append(p, 0.0);
-  }
-  DeadReckoningOptions opt;
-  opt.uncertainty = 0.01;
-  opt.report_loss_probability = 0.3;
-  opt.loss_seed = 7;
-  LinearModel lm1, lm2;
-  const auto a = SimulateDeadReckoning(actual, &lm1, opt);
-  const auto b = SimulateDeadReckoning(actual, &lm2, opt);
-  EXPECT_EQ(a.mispredictions, b.mispredictions);
-  EXPECT_EQ(a.lost_reports, b.lost_reports);
-  EXPECT_GT(a.lost_reports, 0);
-}
-
 TEST(DeadReckoningTest, EvaluateAggregatesOverDataset) {
   TrajectoryDataset test;
   test.Add(LineTrajectory(10, Point2(0.0, 0.0), Vec2(0.01, 0.0)));

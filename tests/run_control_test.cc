@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -472,6 +473,42 @@ TEST(MinerRunControlTest, StoppedMinesCountOnlyCompletedScoring) {
     }
     EXPECT_GE(o.evaluations, evaluated) << what;
     EXPECT_LT(o.evaluations - evaluated, batch_cap) << what;
+  }
+
+  // ω-pruned and budgeted: a stopped batch's completed chunks pruned
+  // candidates the miner then discarded, and those prunes must not reach
+  // the stats or a checkpoint, where pruned candidates are a subset of
+  // the evaluated ones.  The deadlines are fractions of an unstopped
+  // mine's time, most of which goes to the budgeted, warm-up-bound batch
+  // after the singulars, so most stops land inside it.
+  const auto pruned_options = [&data]() {
+    MinerOptions opt = MakeOptions();
+    opt.omega_pruning = true;
+    opt.max_candidates_per_iteration = 400;
+    opt.run.memory_budget_bytes =
+        8 * static_cast<uint64_t>(data.TotalPoints() * sizeof(double));
+    return opt;
+  };
+  const double full_ms = 1e3 * mine(pruned_options(), 0.0, false)
+                                   .result.stats.seconds;
+  for (const double fraction : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+    MinerOptions opt = pruned_options();
+    opt.run.SetDeadlineAfterMillis(fraction * full_ms);
+    std::optional<MinerCheckpoint> last_cp;
+    opt.checkpoint_sink = [&last_cp](const MinerCheckpoint& cp) {
+      last_cp = cp;
+      return true;
+    };
+    const Outcome o = mine(opt, 0.0, false);
+    const MinerStats& stats = o.result.stats;
+    const std::string what =
+        "pruned budgeted deadline at " + std::to_string(fraction);
+    EXPECT_LE(stats.candidates_pruned, stats.candidates_evaluated) << what;
+    if (last_cp.has_value()) {
+      EXPECT_LE(last_cp->candidates_pruned, last_cp->candidates_evaluated)
+          << what;
+      EXPECT_LE(last_cp->candidates_pruned, stats.candidates_pruned) << what;
+    }
   }
 }
 

@@ -95,17 +95,6 @@ TEST(VelocityTransformTest, DatasetKeepsCount) {
   EXPECT_EQ(v[0].id(), "a");
 }
 
-TEST(NormalizeTest, MapsBoxToUnitSquare) {
-  TrajectoryDataset d;
-  d.Add(MakeTrajectory("a", {{-1.0, 0.0}, {1.0, 2.0}}, 0.2));
-  const BoundingBox box(Point2(-1.0, 0.0), Point2(1.0, 2.0));
-  const TrajectoryDataset n = NormalizeToUnitSquare(d, box);
-  EXPECT_EQ(n[0][0].mean, Point2(0.0, 0.0));
-  EXPECT_EQ(n[0][1].mean, Point2(1.0, 1.0));
-  // Sigma scaled by 1/max(w, h) = 1/2.
-  EXPECT_DOUBLE_EQ(n[0][0].sigma, 0.1);
-}
-
 TEST(SynchronizerTest, InterpolatesLinearMotion) {
   Synchronizer::Options opt;
   opt.start_time = 0.0;

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -279,25 +280,44 @@ TEST(WindowKernelTest, MinerOmegaPruningPreservesTopK) {
   const MiningSpace space(Grid::UnitSquare(6), 0.17);
   const TrajectoryDataset d = UniformData(30, 12, 21);
 
-  MinerOptions opt;
-  opt.k = 5;
-  opt.max_pattern_length = 3;
+  // Exact mining, then binding beams (every benchmark workload is a beam
+  // run).  Under a beam, pruned bounds in the memo can change which
+  // candidates are staged, so identity there is observed, not proven;
+  // these cases pin it.
+  struct Case {
+    size_t beam;
+    size_t min_length;
+    size_t max_pattern_length;
+  };
+  for (const Case c : {Case{0, 0, 3}, Case{8, 0, 3}, Case{4, 2, 4}}) {
+    const std::string what = "beam " + std::to_string(c.beam) +
+                             " min_length " + std::to_string(c.min_length);
+    MinerOptions opt;
+    opt.k = 5;
+    opt.min_length = c.min_length;
+    opt.max_pattern_length = c.max_pattern_length;
+    opt.max_candidates_per_iteration = c.beam;
 
-  NmEngine exact_engine(d, space);
-  const MiningResult exact = MineTrajPatterns(exact_engine, opt);
-  EXPECT_EQ(exact.stats.candidates_pruned, 0);
+    NmEngine exact_engine(d, space);
+    const MiningResult exact = MineTrajPatterns(exact_engine, opt);
+    EXPECT_EQ(exact.stats.candidates_pruned, 0) << what;
+    EXPECT_EQ(exact.stats.hit_candidate_cap, c.beam > 0) << what;
 
-  opt.omega_pruning = true;
-  NmEngine pruned_engine(d, space);
-  const MiningResult pruned = MineTrajPatterns(pruned_engine, opt);
+    opt.omega_pruning = true;
+    NmEngine pruned_engine(d, space);
+    const MiningResult pruned = MineTrajPatterns(pruned_engine, opt);
+    EXPECT_EQ(pruned.stats.hit_candidate_cap, c.beam > 0) << what;
 
-  ASSERT_EQ(exact.patterns.size(), pruned.patterns.size());
-  for (size_t i = 0; i < exact.patterns.size(); ++i) {
-    EXPECT_EQ(exact.patterns[i].pattern, pruned.patterns[i].pattern);
-    EXPECT_TRUE(BitEqual(exact.patterns[i].nm, pruned.patterns[i].nm));
+    ASSERT_EQ(exact.patterns.size(), pruned.patterns.size()) << what;
+    for (size_t i = 0; i < exact.patterns.size(); ++i) {
+      EXPECT_EQ(exact.patterns[i].pattern, pruned.patterns[i].pattern)
+          << what;
+      EXPECT_TRUE(BitEqual(exact.patterns[i].nm, pruned.patterns[i].nm))
+          << what;
+    }
+    EXPECT_GT(pruned.stats.candidates_pruned, 0) << what;
+    EXPECT_GT(pruned.stats.trajectories_skipped, 0) << what;
   }
-  EXPECT_GT(pruned.stats.candidates_pruned, 0);
-  EXPECT_GT(pruned.stats.trajectories_skipped, 0);
 }
 
 /// A dataset spanning several tiles of the batch kernel, which cuts the
@@ -551,7 +571,6 @@ TEST(WindowKernelTest, AllWildcardPatternsAreRejected) {
     EXPECT_GT(batch[0], kNegInf);
     EXPECT_EQ(batch[1], kNegInf);
   }
-  EXPECT_EQ(engine.NmTotalWithGaps(stars, 2), kNegInf);
 
   // Match does not normalize: the all-wildcard pattern stays defined and
   // scores 1 per trajectory long enough to host a window.

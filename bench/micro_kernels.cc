@@ -74,23 +74,6 @@ void BM_SimdFusedMaxSum(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdFusedMaxSum)->Arg(2400)->Arg(19200);
 
-void BM_SimdAddInto(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(17);
-  std::vector<double> dst(n), src(n);
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = -rng.Uniform(0.0, 30.0);
-    src[i] = -rng.Uniform(0.0, 30.0);
-  }
-  for (auto _ : state) {
-    simd::AddInto(dst.data(), src.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(simd::ActiveLevelName());
-}
-BENCHMARK(BM_SimdAddInto)->Arg(2400)->Arg(19200);
-
 void BM_GridCellOf(benchmark::State& state) {
   const Grid grid = Grid::UnitSquare(32);
   double x = 0.0;

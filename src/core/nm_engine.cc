@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <new>
 #include <numeric>
 #include <unordered_set>
@@ -88,33 +87,17 @@ Status NmEngine::ValidateScorable(const Pattern& p) {
 }
 
 void NmEngine::ComputeColumnInto(CellId cell, double* out,
-                                 ColumnScratch* scratch) const {
+                                 std::vector<double>* dist) const {
+  assert(space_.model == IndifferenceModel::kRadial);
   const size_t n = stride_;
   const Point2 center = space_.grid.CenterOf(cell);
-  if (space_.model == IndifferenceModel::kRectangular) {
-    // Prob factors into independent x and y interval probabilities; each
-    // batched pass streams the SoA coordinate arrays.  The factors are
-    // the same doubles ProbWithinDelta multiplies, in the same order, so
-    // the column is bit-identical to the point-at-a-time path.
-    auto& fa = scratch->fa;
-    auto& fb = scratch->fb;
-    if (fa.size() < n) fa.resize(n);
-    if (fb.size() < n) fb.resize(n);
-    NormalIntervalProbBatch(px_.data(), sigma_.data(), center.x - space_.delta,
-                            center.x + space_.delta, fa.data(), n);
-    NormalIntervalProbBatch(py_.data(), sigma_.data(), center.y - space_.delta,
-                            center.y + space_.delta, fb.data(), n);
-    for (size_t g = 0; g < n; ++g) out[g] = SafeLog(fa[g] * fb[g]);
-    return;
-  }
-  // Radial model: one cheap distance pass, then the batched Rice-CDF
-  // quadrature, then the log in place.
-  auto& dist = scratch->fa;
-  if (dist.size() < n) dist.resize(n);
+  // One cheap distance pass, then the batched Rice-CDF quadrature, then
+  // the log in place.
+  if (dist->size() < n) dist->resize(n);
   for (size_t g = 0; g < n; ++g) {
-    dist[g] = Distance(flat_points_[g].mean, center);
+    (*dist)[g] = Distance(flat_points_[g].mean, center);
   }
-  RadialWithinProbBatch(dist.data(), sigma_.data(), space_.delta, out, n);
+  RadialWithinProbBatch(dist->data(), sigma_.data(), space_.delta, out, n);
   for (size_t g = 0; g < n; ++g) out[g] = SafeLog(out[g]);
 }
 
@@ -164,31 +147,6 @@ size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
   return n;
 }
 
-int32_t NmEngine::EnsureColumn(CellId cell) const {
-  assert(space_.grid.IsValid(cell));
-  int32_t slot = cell_slot_[static_cast<size_t>(cell)];
-  if (slot >= 0) {
-    slot_last_use_[static_cast<size_t>(slot)] = ++warm_tick_;
-    return slot;
-  }
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    // Serial lazy path has no Status channel; a growth failure (real or
-    // injected) surfaces as bad_alloc for the caller/supervisor.
-    if (!GrowArena(allocated_slots_ + 1)) throw std::bad_alloc();
-    slot = static_cast<int32_t>(allocated_slots_ - 1);
-  }
-  double* out = arena_.data() + static_cast<size_t>(slot) * stride_;
-  ComputeColumnInto(cell, out, &column_scratch_);
-  cell_slot_[static_cast<size_t>(cell)] = slot;
-  slot_cell_[static_cast<size_t>(slot)] = cell;
-  slot_last_use_[static_cast<size_t>(slot)] = ++warm_tick_;
-  ++num_slots_;
-  return slot;
-}
-
 const double* NmEngine::CachedColumn(CellId cell) const {
   if (cell == kWildcardCell) return nullptr;
   assert(space_.grid.IsValid(cell));
@@ -202,10 +160,12 @@ const double* NmEngine::CachedColumn(CellId cell) const {
 std::vector<const double*> NmEngine::ResolveColumns(const Pattern& p) const {
   // Materialize every missing column BEFORE taking any base pointer:
   // arena growth reallocates, which would dangle a sibling position
-  // resolved earlier in the same pattern.
-  for (size_t j = 0; j < p.length(); ++j) {
-    if (p[j] != kWildcardCell) EnsureColumn(p[j]);
-  }
+  // resolved earlier in the same pattern.  Without a RunContext the only
+  // way the warm-up stops is a failed arena growth, and these entry
+  // points have no Status channel.
+  WarmStats ws;
+  WarmCells(p.cells(), 1, &ws);
+  if (ws.stop != StopReason::kNone) throw std::bad_alloc();
   std::vector<const double*> cols(p.length());
   for (size_t j = 0; j < p.length(); ++j) cols[j] = CachedColumn(p[j]);
   return cols;
@@ -228,99 +188,15 @@ bool NmEngine::BestWindowSumGather(const double* const* cols, size_t m,
   return true;
 }
 
-bool NmEngine::BestWindowSumStreaming(const double* const* cols, size_t m,
-                                      size_t off, size_t len, double* wsum,
-                                      double* best) const {
-  if (len < m || m == 0) return false;
-  const size_t nwin = len - m + 1;
-  // Position-major accumulation: one contiguous pass per specified
-  // position, in ascending j — the same per-window addition order as the
-  // gather kernel, hence bit-identical sums.  The first specified pass
-  // initializes instead of adding (0.0 + x == x; columns are logs of
-  // probabilities and can never hold -0.0), and the last one is fused
-  // into the max scan so its sums are never stored at all.
-  size_t last = m;  // index of the last specified position, m if none
-  for (size_t j = m; j-- > 0;) {
-    if (cols[j] != nullptr) {
-      last = j;
-      break;
-    }
-  }
-  if (last == m) {  // all-wildcard window: every sum is 0
-    *best = 0.0;
-    return true;
-  }
-  bool first = true;
-  for (size_t j = 0; j < last; ++j) {
-    const double* src = cols[j];
-    if (src == nullptr) continue;
-    src += off + j;
-    if (first) {
-      std::memcpy(wsum, src, nwin * sizeof(double));
-      first = false;
-    } else {
-      simd::AddInto(wsum, src, nwin);
-    }
-  }
-  const double* tail = cols[last] + off + last;
-  // `first` still set: a single specified position scans its column
-  // directly, no accumulator needed.
-  *best = FusedMaxSum(first ? nullptr : wsum, tail, nwin);
-  return true;
-}
-
 double NmEngine::Nm(const Pattern& p, size_t traj_index) const {
   if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
   const std::vector<const double*> cols = ResolveColumns(p);
-  const size_t off = offsets_[traj_index];
-  const size_t len = offsets_[traj_index + 1] - off;
-  std::vector<double> wsum(len);
   double best;
-  const bool ok =
-      kernel_ == WindowKernel::kGather
-          ? BestWindowSumGather(cols.data(), p.length(), traj_index, &best)
-          : BestWindowSumStreaming(cols.data(), p.length(), off, len,
-                                   wsum.data(), &best);
-  if (!ok) return LogFloor();
+  if (!BestWindowSumGather(cols.data(), p.length(), traj_index, &best)) {
+    return LogFloor();
+  }
   return best / static_cast<double>(p.SpecifiedCount());
 }
-
-namespace {
-
-/// Index of the last specified position of `p`, p.length() if none.
-size_t LastSpecified(const Pattern& p) {
-  for (size_t j = p.length(); j-- > 0;) {
-    if (p[j] != kWildcardCell) return j;
-  }
-  return p.length();
-}
-
-/// One pass over the whole flattened dataset: partial window sums of the
-/// specified positions before `last` for every global start g land in
-/// wsum[g]; starts whose window crosses a trajectory boundary hold
-/// cross-boundary garbage that the per-trajectory scans never read.
-/// Returns false (wsum untouched) when no position before `last` is
-/// specified.  The first specified pass initializes instead of adding
-/// (0.0 + x == x; columns are logs of probabilities and never hold
-/// -0.0), so the sums are the gather kernel's ascending-j sums.
-bool AccumulateWindowSums(const double* const* cols, size_t m, size_t last,
-                          size_t total_pts, double* wsum) {
-  if (total_pts < m) return false;
-  const size_t nwin = total_pts - m + 1;
-  bool any = false;
-  for (size_t j = 0; j < last; ++j) {
-    if (cols[j] == nullptr) continue;
-    if (!any) {
-      std::memcpy(wsum, cols[j] + j, nwin * sizeof(double));
-      any = true;
-    } else {
-      simd::AddInto(wsum, cols[j] + j, nwin);
-    }
-  }
-  return any;
-}
-
-}  // namespace
 
 double NmEngine::NmTotalResolved(const Pattern& p,
                                  const double* const* cols) const {
@@ -328,93 +204,31 @@ double NmEngine::NmTotalResolved(const Pattern& p,
   const size_t specified = p.SpecifiedCount();
   if (specified == 0) return kNegInf;  // see ValidateScorable
   const double spec = static_cast<double>(specified);
-  const size_t n = data_->size();
   double total = 0.0;
-  if (kernel_ == WindowKernel::kGather) {
-    for (size_t i = 0; i < n; ++i) {
-      double best;
-      total += BestWindowSumGather(cols, m, i, &best) ? best / spec
-                                                      : LogFloor();
-    }
-    return total;
-  }
-  // The last specified column is not accumulated — it is fused into the
-  // per-trajectory max scan, which keeps the ascending-j addition order
-  // (and so bit-identity with the gather kernel) while skipping one full
-  // store+reload pass over the dataset.
-  const size_t last = LastSpecified(p);
-  std::vector<double> wsum(flat_points_.size());
-  const bool any =
-      AccumulateWindowSums(cols, m, last, flat_points_.size(), wsum.data());
-  for (size_t i = 0; i < n; ++i) {
-    const size_t off = offsets_[i];
-    const size_t len = offsets_[i + 1] - off;
-    if (len < m) {
-      total += LogFloor();
-      continue;
-    }
-    const double best = FusedMaxSum(any ? wsum.data() + off : nullptr,
-                                    cols[last] + off + last, len - m + 1);
-    total += best / spec;
+  for (size_t i = 0; i < data_->size(); ++i) {
+    double best;
+    total += BestWindowSumGather(cols, m, i, &best) ? best / spec : LogFloor();
   }
   return total;
 }
 
 double NmEngine::NmTotal(const Pattern& p) const {
   ++num_pattern_evaluations_;
-  // Fill any missing columns while still serial, then run the read-only
+  // Warm any missing columns while still serial, then run the read-only
   // reference reduction.
   return NmTotalResolved(p, ResolveColumns(p).data());
 }
 
-double NmEngine::Match(const Pattern& p, size_t traj_index) const {
-  const std::vector<const double*> cols = ResolveColumns(p);
-  const size_t off = offsets_[traj_index];
-  const size_t len = offsets_[traj_index + 1] - off;
-  std::vector<double> wsum(len);
-  double best;
-  const bool ok =
-      kernel_ == WindowKernel::kGather
-          ? BestWindowSumGather(cols.data(), p.length(), traj_index, &best)
-          : BestWindowSumStreaming(cols.data(), p.length(), off, len,
-                                   wsum.data(), &best);
-  if (!ok) return 0.0;
-  return std::exp(best);
-}
-
 double NmEngine::MatchTotalResolved(const Pattern& p,
                                     const double* const* cols) const {
-  const size_t m = p.length();
-  if (m == 0) return 0.0;  // no window can exist
-  const size_t n = data_->size();
+  // An all-wildcard window sums to log 1, so such a pattern scores
+  // exp(0) == 1 on every trajectory that can host a window.
   double total = 0.0;
-  if (kernel_ == WindowKernel::kGather) {
-    for (size_t i = 0; i < n; ++i) {
-      double best;
-      if (BestWindowSumGather(cols, m, i, &best)) total += std::exp(best);
+  for (size_t i = 0; i < data_->size(); ++i) {
+    double best;
+    if (BestWindowSumGather(cols, p.length(), i, &best)) {
+      total += std::exp(best);
     }
-    return total;
-  }
-  const size_t last = LastSpecified(p);
-  if (last == m) {
-    // All-wildcard: every window sums to log 1, so each trajectory that
-    // can host a window contributes exp(0) == 1.
-    for (size_t i = 0; i < n; ++i) {
-      if (offsets_[i + 1] - offsets_[i] >= m) total += 1.0;
-    }
-    return total;
-  }
-  // Same fused position-major layout as the NM path.
-  std::vector<double> wsum(flat_points_.size());
-  const bool any =
-      AccumulateWindowSums(cols, m, last, flat_points_.size(), wsum.data());
-  for (size_t i = 0; i < n; ++i) {
-    const size_t off = offsets_[i];
-    const size_t len = offsets_[i + 1] - off;
-    if (len < m) continue;  // too short: contributes 0
-    const double best = FusedMaxSum(any ? wsum.data() + off : nullptr,
-                                    cols[last] + off + last, len - m + 1);
-    total += std::exp(best);
   }
   return total;
 }
@@ -485,7 +299,8 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
       run);
   // Phase 2: per-cell product + log into the cell's own slab.  Multiplies
   // the exact same doubles `ProbWithinDelta` would, so the columns are
-  // bit-identical to the unfactored path for any thread count and order.
+  // bit-identical to `MiningSpace::LogProb` for any thread count and
+  // order.
   ParallelFor(
       pool, missing.size(),
       [&](size_t i, int) {
@@ -590,7 +405,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
                             run == nullptr ? nullptr : &done);
   } else {
     const int lanes = pool == nullptr ? 1 : pool->size();
-    std::vector<ColumnScratch> scratch(static_cast<size_t>(lanes));
+    std::vector<std::vector<double>> scratch(static_cast<size_t>(lanes));
     ParallelFor(
         pool, missing.size(),
         [&](size_t i, int worker) {
@@ -786,6 +601,14 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
 }
 
 namespace {
+
+/// Index of the last specified position of `p`, p.length() if none.
+size_t LastSpecified(const Pattern& p) {
+  for (size_t j = p.length(); j-- > 0;) {
+    if (p[j] != kWildcardCell) return j;
+  }
+  return p.length();
+}
 
 /// One tiled-kernel worker's scratch: row d holds the window sums of a
 /// candidate's positions [0, d] over the current tile (prefix[d] points

@@ -27,26 +27,20 @@ const char* ActiveLevelName();
 
 /// max over k in [0, n) of w[k] + t[k], or of t[k] alone when `w` is
 /// null; -infinity for n == 0.  The fused last-column max scan of the
-/// streaming window kernel.  Inputs must be finite (they are sums of
+/// tiled batch kernel.  Inputs must be finite (they are sums of
 /// log-probabilities, floored at LogFloor()); no NaN and no -0.0 can
 /// appear, which is what licenses the vector reassociation.
 double FusedMaxSum(const double* w, const double* t, size_t n);
 
-/// dst[k] += src[k] for k in [0, n): the position-major window_sum
-/// accumulation pass.  Element-wise, so vectorization is trivially
-/// bit-identical.
-void AddInto(double* dst, const double* src, size_t n);
-
 /// dst[k] = a[k] + b[k] for k in [0, n): one prefix-depth row of the tiled
 /// batch kernel (the row below plus the next column, in one pass).
-/// Element-wise IEEE adds, bit-identical to `AddInto` on a copy of `a`.
+/// Element-wise IEEE adds, so vectorization is trivially bit-identical.
 void SumInto(double* dst, const double* a, const double* b, size_t n);
 
 /// Reference implementations, always compiled, dispatch-independent.
 /// The identity tests (and the portable-only CI leg) compare the
 /// dispatched kernels against these bit for bit.
 double FusedMaxSumPortable(const double* w, const double* t, size_t n);
-void AddIntoPortable(double* dst, const double* src, size_t n);
 void SumIntoPortable(double* dst, const double* a, const double* b, size_t n);
 
 }  // namespace trajpattern::simd

@@ -27,8 +27,15 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Normal sample with the given mean and standard deviation.
+  /// Normal sample with the given mean and standard deviation (>= 0).
+  /// `sigma == 0` returns `mean` exactly, after consuming the same engine
+  /// draws a positive sigma would, so switching a noise term off changes
+  /// no other sample of the stream.
   double Normal(double mean, double sigma) {
+    if (sigma == 0.0) {
+      std::normal_distribution<double>()(engine_);
+      return mean;
+    }
     return std::normal_distribution<double>(mean, sigma)(engine_);
   }
 

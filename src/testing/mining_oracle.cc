@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -197,12 +198,13 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   const MiningSpace space = inst.Space();
   const MinerOptions base = inst.Options();
 
-  // --- Reference run: streaming kernel, serial, exact.
+  // --- Reference run: tiled batch kernel, serial, exact.
   NmEngine ref_engine(data, space);
   const MiningResult ref = MineTrajPatterns(ref_engine, base);
   ++report.mining_runs;
 
-  // --- Oracle (a), kernel identity on whole mining runs.
+  // --- Oracle (a), the whole mine with the batch API on the gather
+  // kernel vs the tiled kernel.
   {
     NmEngine gather_engine(data, space);
     gather_engine.set_window_kernel(WindowKernel::kGather);
@@ -216,77 +218,51 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (a), kernel identity per pattern and batch-vs-serial.
+  // --- Oracle (a), the per-pattern gather reference vs the tiled batch
+  // kernel at 1 and N threads.
   const std::vector<CellId> alphabet = ref_engine.TouchedCells();
   {
     NmEngine engine(data, space);
-    const std::vector<Pattern> samples = SamplePatterns(inst, alphabet);
-    std::vector<double> nm_stream(samples.size()), match_stream(samples.size());
-    for (size_t i = 0; i < samples.size(); ++i) {
-      nm_stream[i] = engine.NmTotal(samples[i]);
-      match_stream[i] = engine.MatchTotal(samples[i]);
-    }
-    engine.set_window_kernel(WindowKernel::kGather);
-    for (size_t i = 0; i < samples.size(); ++i) {
-      const double nm = engine.NmTotal(samples[i]);
-      const double match = engine.MatchTotal(samples[i]);
-      if (!BitEq(nm, nm_stream[i])) {
-        fail("NmTotal kernel mismatch on " + samples[i].ToString() + ": " +
-             Hex(nm) + " (gather) vs " + Hex(nm_stream[i]) + " (streaming)");
-        return report;
-      }
-      if (!BitEq(match, match_stream[i])) {
-        fail("MatchTotal kernel mismatch on " + samples[i].ToString() + ": " +
-             Hex(match) + " vs " + Hex(match_stream[i]));
-        return report;
-      }
-    }
-    engine.set_window_kernel(WindowKernel::kStreaming);
-    // Scorable samples only: the batch API is specified for patterns
-    // that pass ValidateScorable.
+    // Scorable samples only go to the batch API, which is specified for
+    // patterns that pass ValidateScorable; the reference must reject the
+    // rest by value.
     std::vector<Pattern> scorable;
-    for (const Pattern& p : samples) {
-      if (NmEngine::ValidateScorable(p).ok()) scorable.push_back(p);
+    std::vector<double> exact, exact_match;
+    for (const Pattern& p : SamplePatterns(inst, alphabet)) {
+      const double nm = engine.NmTotal(p);
+      if (!NmEngine::ValidateScorable(p).ok()) {
+        if (nm != -std::numeric_limits<double>::infinity()) {
+          fail("NmTotal accepted unscorable " + p.ToString() + ": " + Hex(nm));
+          return report;
+        }
+        continue;
+      }
+      scorable.push_back(p);
+      exact.push_back(nm);
+      exact_match.push_back(engine.MatchTotal(p));
     }
-    const std::vector<double> serial = engine.NmTotalBatch(scorable, 1);
-    const std::vector<double> parallel =
-        engine.NmTotalBatch(scorable, inst.num_threads);
-    const std::vector<double> match1 = engine.MatchTotalBatch(scorable, 1);
-    const std::vector<double> matchN =
-        engine.MatchTotalBatch(scorable, inst.num_threads);
-    // Map scorable back to sample indices for the serial comparison.
-    size_t si = 0;
-    for (size_t i = 0; i < samples.size(); ++i) {
-      if (!NmEngine::ValidateScorable(samples[i]).ok()) continue;
-      if (!BitEq(serial[si], nm_stream[i])) {
-        fail("NmTotalBatch(1) vs NmTotal mismatch on " +
-             samples[i].ToString() + ": " + Hex(serial[si]) + " vs " +
-             Hex(nm_stream[i]));
-        return report;
-      }
-      if (!BitEq(match1[si], match_stream[i])) {
-        fail("MatchTotalBatch(1) vs MatchTotal mismatch on " +
-             samples[i].ToString());
-        return report;
-      }
-      ++si;
-    }
-    for (size_t i = 0; i < scorable.size(); ++i) {
-      if (!BitEq(serial[i], parallel[i])) {
-        fail("NmTotalBatch thread divergence on " + scorable[i].ToString() +
-             ": " + Hex(serial[i]) + " (1 thread) vs " + Hex(parallel[i]) +
-             " (" + std::to_string(inst.num_threads) + " threads)");
-        return report;
-      }
-      if (!BitEq(match1[i], matchN[i])) {
-        fail("MatchTotalBatch thread divergence on " + scorable[i].ToString());
-        return report;
+    for (const int threads : {1, inst.num_threads}) {
+      const std::vector<double> nm = engine.NmTotalBatch(scorable, threads);
+      const std::vector<double> match =
+          engine.MatchTotalBatch(scorable, threads);
+      for (size_t i = 0; i < scorable.size(); ++i) {
+        if (!BitEq(nm[i], exact[i])) {
+          fail("NmTotalBatch(" + std::to_string(threads) +
+               ") vs NmTotal mismatch on " + scorable[i].ToString() + ": " +
+               Hex(nm[i]) + " vs " + Hex(exact[i]));
+          return report;
+        }
+        if (!BitEq(match[i], exact_match[i])) {
+          fail("MatchTotalBatch(" + std::to_string(threads) +
+               ") vs MatchTotal mismatch on " + scorable[i].ToString() + ": " +
+               Hex(match[i]) + " vs " + Hex(exact_match[i]));
+          return report;
+        }
       }
     }
 
     // --- Oracle (b), batch pruning contract against the exact values.
     if (!scorable.empty()) {
-      std::vector<double> exact = serial;
       std::vector<double> sorted = exact;
       std::sort(sorted.begin(), sorted.end());
       // Thresholds at, just below, and just above an exact value probe

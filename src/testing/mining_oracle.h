@@ -30,10 +30,12 @@ struct OracleReport {
 /// four oracle families, every one of which the production code promises
 /// to pass *bit-identically*:
 ///
-///  (a) kernels: streaming vs the retained gather reference on mined
-///      top-k, per-pattern NM/Match totals, and batch-vs-serial scoring;
-///      plus `BruteForceTopK` as ground truth when the pattern space is
-///      small enough to enumerate (reported via `brute_force_checked`).
+///  (a) kernels: a whole mine on the tiled batch kernel vs the same mine
+///      on the gather batch kernel (same top-k); the per-pattern NM/Match
+///      totals, which always run the scalar gather loop, vs
+///      `NmTotalBatch`/`MatchTotalBatch` at 1 and N threads; plus
+///      `BruteForceTopK` as ground truth when the pattern space is small
+///      enough to enumerate (reported via `brute_force_checked`).
 ///  (b) pruning: ω-aware early-abandon mining vs exact mining (same
 ///      top-k), and the `NmTotalBatch(prune_below)` contract — a pruned
 ///      value is an upper bound on the exact NM and lies below the

@@ -225,6 +225,22 @@ TEST(RngTest, PickWeightedRespectsZeroWeight) {
   }
 }
 
+TEST(RngTest, NormalWithZeroSigmaReturnsMeanAndKeepsTheStream) {
+  // sigma == 0 is outside std::normal_distribution's domain; Normal
+  // returns the mean yet consumes the draws a unit-sigma sample would,
+  // so a generator that switches its noise off keeps every other draw.
+  for (const uint64_t seed : {1u, 7u, 99u}) {
+    Rng zero(seed);
+    Rng unit(seed);
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(zero.Normal(0.25, 0.0), 0.25);
+      unit.Normal(0.0, 1.0);
+      EXPECT_EQ(zero.Normal(0.0, 1.0), unit.Normal(0.0, 1.0))
+          << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
 TEST(RngTest, ForkProducesIndependentStreams) {
   Rng parent(3);
   Rng child1 = parent.Fork();

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -359,9 +360,20 @@ TEST(MinerRunControlTest, InjectedAllocFailureStopsWithTypedReason) {
   EXPECT_EQ(result.stats.stop_reason, StopReason::kAllocFailed);
   EXPECT_GT(faults.calls(), 0);
 
-  // Clearing the hook heals the engine: the same instance then mines the
-  // full answer (nothing was left staged or torn by the failed warm-up).
+  // The per-pattern entry points have no Status channel: the same
+  // failure surfaces as std::bad_alloc.
+  const std::vector<CellId> cells = engine.TouchedCells();
+  ASSERT_GE(cells.size(), 2u);
+  const Pattern probe(std::vector<CellId>{cells[0], kWildcardCell, cells[1]});
+  EXPECT_THROW(engine.NmTotal(probe), std::bad_alloc);
+
+  // Clearing the hook heals the engine: the same instance then scores
+  // the probe bit-identically to a fresh engine and mines the full
+  // answer (nothing was left staged or torn by the failed warm-ups).
   engine.set_alloc_fault_hook(nullptr);
+  const double healed_nm = engine.NmTotal(probe);
+  const double fresh_nm = NmEngine(data, MakeSpace()).NmTotal(probe);
+  EXPECT_EQ(std::memcmp(&healed_nm, &fresh_nm, sizeof(double)), 0);
   const MiningResult healed = MineTrajPatterns(engine, MakeOptions());
   EXPECT_FALSE(healed.stats.aborted);
   EXPECT_FALSE(healed.patterns.empty());

@@ -1,5 +1,5 @@
-// Tests of the window-scoring kernels: streaming-vs-gather bit-identity,
-// the tiled prefix-sharing batch kernel against the per-pattern paths,
+// Tests of the window-scoring kernels: the tiled prefix-sharing batch
+// kernel against the per-pattern gather reference and the gather batch,
 // the ω-aware early-abandon contract, all-wildcard rejection, arena
 // warm-up edge cases, and checkpoint v1/v2 compat.
 
@@ -89,34 +89,44 @@ std::vector<Pattern> MixedPatterns(const NmEngine& engine) {
   };
 }
 
-TEST(WindowKernelTest, StreamingMatchesGatherBitwise) {
-  for (uint64_t seed : {1u, 7u, 42u}) {
-    const MiningSpace space(Grid::UnitSquare(6), 0.17);
-    const TrajectoryDataset d = UniformData(12, 9, seed);
-    NmEngine engine(d, space);
-    for (const Pattern& p : MixedPatterns(engine)) {
-      engine.set_window_kernel(WindowKernel::kGather);
-      const double nm_gather = engine.NmTotal(p);
-      const double match_gather = engine.MatchTotal(p);
-      engine.set_window_kernel(WindowKernel::kStreaming);
-      EXPECT_TRUE(BitEqual(engine.NmTotal(p), nm_gather))
-          << "seed " << seed << " len " << p.length();
-      EXPECT_TRUE(BitEqual(engine.MatchTotal(p), match_gather))
-          << "seed " << seed << " len " << p.length();
+/// The tiled batch kernel (`kStreaming`) at 1 and 4 threads against the
+/// per-pattern gather reference, NM and Match, bitwise.
+void ExpectTiledBatchMatchesReference(const TrajectoryDataset& d,
+                                      const MiningSpace& space,
+                                      const std::string& what) {
+  NmEngine engine(d, space);
+  const std::vector<Pattern> patterns = MixedPatterns(engine);
+  std::vector<double> nm(patterns.size()), match(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    nm[i] = engine.NmTotal(patterns[i]);
+    match[i] = engine.MatchTotal(patterns[i]);
+  }
+  for (int threads : {1, 4}) {
+    const std::vector<double> nm_batch = engine.NmTotalBatch(patterns, threads);
+    const std::vector<double> match_batch =
+        engine.MatchTotalBatch(patterns, threads);
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      EXPECT_TRUE(BitEqual(nm_batch[i], nm[i]))
+          << what << " len " << patterns[i].length() << " at " << threads
+          << " threads";
+      EXPECT_TRUE(BitEqual(match_batch[i], match[i]))
+          << what << " len " << patterns[i].length() << " at " << threads
+          << " threads";
     }
   }
 }
 
-TEST(WindowKernelTest, StreamingMatchesGatherOnRaggedTrajectories) {
-  const MiningSpace space(Grid::UnitSquare(5), 0.2);
-  const TrajectoryDataset d = RaggedData(3);
-  NmEngine engine(d, space);
-  for (const Pattern& p : MixedPatterns(engine)) {
-    engine.set_window_kernel(WindowKernel::kGather);
-    const double nm_gather = engine.NmTotal(p);
-    engine.set_window_kernel(WindowKernel::kStreaming);
-    EXPECT_TRUE(BitEqual(engine.NmTotal(p), nm_gather)) << p.length();
+TEST(WindowKernelTest, StreamingMatchesGatherBitwise) {
+  for (uint64_t seed : {1u, 7u, 42u}) {
+    ExpectTiledBatchMatchesReference(UniformData(12, 9, seed),
+                                     MiningSpace(Grid::UnitSquare(6), 0.17),
+                                     "seed " + std::to_string(seed));
   }
+}
+
+TEST(WindowKernelTest, StreamingMatchesGatherOnRaggedTrajectories) {
+  ExpectTiledBatchMatchesReference(
+      RaggedData(3), MiningSpace(Grid::UnitSquare(5), 0.2), "ragged");
 }
 
 TEST(WindowKernelTest, BatchMatchesSerialAcrossKernelsAndThreads) {
@@ -136,7 +146,7 @@ TEST(WindowKernelTest, BatchMatchesSerialAcrossKernelsAndThreads) {
   EXPECT_TRUE(BitEqual(gather_1t, streaming_1t));
   EXPECT_TRUE(BitEqual(gather_1t, streaming_8t));
 
-  // Serial per-pattern calls agree with the batch too.
+  // The per-pattern gather reference agrees with the batch too.
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(BitEqual(engine.NmTotal(batch[i]), streaming_1t[i]));
   }
@@ -561,10 +571,10 @@ TEST(WindowKernelTest, AllWildcardPatternsAreRejected) {
 
   // The NM entry points reject by value (-inf: unreachable by any real
   // pattern) rather than dividing by the zero specified-count.
+  EXPECT_EQ(engine.NmTotal(stars), kNegInf);
+  EXPECT_EQ(engine.Nm(stars, 0), kNegInf);
   for (WindowKernel k : {WindowKernel::kStreaming, WindowKernel::kGather}) {
     engine.set_window_kernel(k);
-    EXPECT_EQ(engine.NmTotal(stars), kNegInf);
-    EXPECT_EQ(engine.Nm(stars, 0), kNegInf);
     const std::vector<double> batch =
         engine.NmTotalBatch({Pattern(CellId{0}), stars});
     ASSERT_EQ(batch.size(), 2u);
@@ -696,23 +706,46 @@ TEST(WindowKernelTest, WarmOrderAndThreadCountDoNotChangeScores) {
   }
 }
 
+/// NM(p) point at a time from `MiningSpace::LogProb`, in the engine's
+/// reduction order: ascending position inside a window, first maximal
+/// window, trajectories in order.
+double LogProbNmTotal(const TrajectoryDataset& d, const MiningSpace& space,
+                      const Pattern& p) {
+  const double spec = static_cast<double>(p.SpecifiedCount());
+  double total = 0.0;
+  for (const Trajectory& t : d) {
+    if (t.size() < p.length()) {
+      total += LogFloor();
+      continue;
+    }
+    double best = kNegInf;
+    for (size_t k = 0; k + p.length() <= t.size(); ++k) {
+      double sum = 0.0;
+      for (size_t j = 0; j < p.length(); ++j) {
+        if (p[j] != kWildcardCell) sum += space.LogProb(t[k + j], p[j]);
+      }
+      if (sum > best) best = sum;
+    }
+    total += best / spec;
+  }
+  return total;
+}
+
 TEST(WindowKernelTest, FactoredWarmupMatchesLazySerialPath) {
   // WarmCells materializes rectangular columns through the x/y-factored
-  // path; the serial NmTotal entry points go through the unfactored
-  // per-cell computation.  Both must produce bit-identical scores — and
-  // under the radial model, where no factorization applies, the parallel
-  // warm-up must agree with the serial path too.
+  // path and radial ones through the batched Rice-CDF pass.  Either way
+  // the scores must be bit-identical to a serial point-at-a-time NM
+  // built from MiningSpace::LogProb.
   for (const IndifferenceModel model :
        {IndifferenceModel::kRectangular, IndifferenceModel::kRadial}) {
     const MiningSpace space(Grid::UnitSquare(4), 0.25, model);
     const TrajectoryDataset d = UniformData(8, 7, 37);
-    NmEngine lazy(d, space);
-    const std::vector<Pattern> patterns = MixedPatterns(lazy);
+    NmEngine warmed(d, space);
+    const std::vector<Pattern> patterns = MixedPatterns(warmed);
     std::vector<double> want(patterns.size());
     for (size_t i = 0; i < patterns.size(); ++i) {
-      want[i] = lazy.NmTotal(patterns[i]);
+      want[i] = LogProbNmTotal(d, space, patterns[i]);
     }
-    NmEngine warmed(d, space);
     warmed.WarmCells(warmed.TouchedCells(), 4);
     const std::vector<double> got = warmed.NmTotalBatch(patterns, 4);
     EXPECT_TRUE(BitEqual(got, want))

@@ -3,10 +3,11 @@
 // work item, since workers poll the context before every claim), (b)
 // cancellation latency from Cancel() to the miner returning, (c) that a
 // memory-budgeted run holds the column arena under its budget while
-// returning the bit-identical top-k, and (d) the MiningSupervisor's
-// retry/backoff bookkeeping under an injected transient sink outage,
-// with the supervised answer again bit-identical.  Writes
-// BENCH_run_control.json (override with --json=PATH).
+// returning the bit-identical top-k, and counts the columns it warmed,
+// and (d) the MiningSupervisor's retry/backoff bookkeeping under an
+// injected transient sink outage, with the supervised answer again
+// bit-identical.  Writes BENCH_run_control.json (override with
+// --json=PATH).
 
 #include <cstdint>
 #include <cstdio>
@@ -19,9 +20,11 @@
 #include "common/run_context.h"
 #include "core/miner.h"
 #include "core/nm_engine.h"
+#include "core/simd_kernels.h"
 #include "io/checkpoint.h"
 #include "io/flags.h"
 #include "io/obs_flags.h"
+#include "obs/metrics.h"
 #include "server/fault_injector.h"
 #include "server/mining_supervisor.h"
 #include "stats/timer.h"
@@ -152,25 +155,32 @@ int main(int argc, char** argv) {
   double budget_s = 0.0;
   size_t budget_peak_bytes = 0;
   size_t budget_evicted = 0;
+  int64_t budget_warmed = 0;
   {
     NmEngine engine(data, space);
     MinerOptions opt = base;
     opt.run = RunContext();
     opt.run.memory_budget_bytes = budget_bytes;
+    // Columns the budgeted mine warmed, re-warms after eviction included
+    // (0 in a build with observability compiled out).
+    const obs::Counter* warmed =
+        obs::MetricsRegistry::Global().GetCounter("nm.cells_warmed");
+    const int64_t warmed_before = warmed->Value();
     WallTimer timer;
     budgeted = MineTrajPatterns(engine, opt);
     budget_s = timer.Seconds();
+    budget_warmed = warmed->Value() - warmed_before;
     budget_peak_bytes = engine.arena_peak_bytes();
     budget_evicted = engine.cells_evicted();
   }
   const bool budget_held = budget_peak_bytes <= budget_bytes;
   const bool budget_identical =
       BitIdentical(budgeted.patterns, baseline.patterns);
-  std::printf("  budget %llu bytes: peak %zu (%s), %zu evictions, %.3fs "
-              "(%.2fx baseline), bit-identical=%s\n",
+  std::printf("  budget %llu bytes: peak %zu (%s), %lld columns warmed, "
+              "%zu evictions, %.3fs (%.2fx baseline), bit-identical=%s\n",
               static_cast<unsigned long long>(budget_bytes),
               budget_peak_bytes, budget_held ? "held" : "EXCEEDED",
-              budget_evicted, budget_s,
+              static_cast<long long>(budget_warmed), budget_evicted, budget_s,
               baseline_s > 0 ? budget_s / baseline_s : 0.0,
               budget_identical ? "yes" : "NO");
 
@@ -217,6 +227,8 @@ int main(int argc, char** argv) {
   w.Key("max_pattern_length").Int(cfg.max_pattern_length);
   w.Key("threads").Int(cfg.threads);
   w.EndObject();
+  w.Key("hardware_threads").Int(tb::HardwareThreads());
+  w.Key("simd").Str(simd::ActiveLevelName());
   w.Key("baseline").BeginObject();
   w.Key("seconds").Double(baseline_s);
   w.Key("iterations").Int(baseline.stats.iterations);
@@ -243,6 +255,7 @@ int main(int argc, char** argv) {
   w.Key("budget_bytes").UInt(budget_bytes);
   w.Key("peak_arena_bytes").UInt(budget_peak_bytes);
   w.Key("budget_held").Bool(budget_held);
+  w.Key("cells_warmed").Int(budget_warmed);
   w.Key("cells_evicted").UInt(budget_evicted);
   w.Key("seconds").Double(budget_s);
   w.Key("bit_identical_to_baseline").Bool(budget_identical);

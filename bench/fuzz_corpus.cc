@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   const double t0 = NowSeconds();
-  uint64_t checked = 0, brute = 0, ingestion = 0, warm_order = 0;
+  uint64_t checked = 0, brute = 0, ingestion = 0, warm_order = 0, budget = 0;
   for (uint64_t seed = seed_start; seed < seed_start + seed_count; ++seed) {
     if (time_budget_s > 0.0 && NowSeconds() - t0 > time_budget_s) {
       std::printf("time budget reached after %llu seeds\n",
@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
     if (report.brute_force_checked) ++brute;
     if (report.ingestion_checked) ++ingestion;
     if (report.warm_order_checked) ++warm_order;
+    if (report.budget_checked) ++budget;
     if (!report.ok()) {
       std::fprintf(stderr, "DIVERGENCE at seed %llu: %s\n",
                    static_cast<unsigned long long>(seed),
@@ -134,10 +135,12 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "OK: %llu seeds, 0 divergences (%llu brute-force-checked, %llu "
-      "ingestion-bearing, %llu warm-order-checked, %.1fs)\n",
+      "ingestion-bearing, %llu warm-order-checked, %llu budget-checked, "
+      "%.1fs)\n",
       static_cast<unsigned long long>(checked),
       static_cast<unsigned long long>(brute),
       static_cast<unsigned long long>(ingestion),
-      static_cast<unsigned long long>(warm_order), NowSeconds() - t0);
+      static_cast<unsigned long long>(warm_order),
+      static_cast<unsigned long long>(budget), NowSeconds() - t0);
   return 0;
 }

@@ -98,7 +98,7 @@ struct MinerOptions {
   /// Under a binding beam (`max_candidates_per_iteration`) the memoized
   /// bounds also feed the min-max ranking, so they can change which
   /// candidates the beam stages (with pruning on, perfbench zebra_budget
-  /// seed 1 warms 1,197 columns instead of 1,088).  Top-k identity under
+  /// seed 1 warms 245 columns instead of 212).  Top-k identity under
   /// a beam is therefore observed, not proven: it held in 6,410
   /// beam-capped fuzz runs (seeds 1-1500, beams 1-16), 27 Fig. 4 runs
   /// and all 32 stored perfbench seeds.

@@ -1,10 +1,12 @@
 #include "core/nm_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <new>
 #include <numeric>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -34,6 +36,277 @@ constexpr size_t kTilePoints = 4096;
 inline double FusedMaxSum(const double* w, const double* t, size_t n) {
   return simd::FusedMaxSum(w, t, n);
 }
+
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+/// A set of ids below a fixed bound, as a bitmap with a summary bit per
+/// bitmap word, so the smallest id is a few word scans away.  Storage is
+/// allocated on the first insert.
+class GroupSet {
+ public:
+  explicit GroupSet(size_t bound) : bound_(bound) {}
+
+  void Insert(uint32_t id) {
+    if (words_.empty()) {
+      words_.assign((bound_ + 63) / 64, 0);
+      summary_.assign((words_.size() + 63) / 64, 0);
+    }
+    const uint32_t w = id / 64;
+    words_[w] |= uint64_t{1} << (id % 64);
+    summary_[w / 64] |= uint64_t{1} << (w % 64);
+    first_ = std::min(first_, w / 64);
+  }
+
+  /// Removes and returns the smallest id, or kNone when empty.
+  uint32_t PopMin() {
+    for (; first_ < summary_.size(); ++first_) {
+      if (summary_[first_] == 0) continue;
+      const uint32_t w = first_ * 64 + LowestBit(summary_[first_]);
+      const uint32_t id = w * 64 + LowestBit(words_[w]);
+      words_[w] &= words_[w] - 1;
+      if (words_[w] == 0) summary_[first_] &= ~(uint64_t{1} << (w % 64));
+      return id;
+    }
+    return kNone;
+  }
+
+ private:
+  static uint32_t LowestBit(uint64_t word) {
+    return static_cast<uint32_t>(std::countr_zero(word));
+  }
+
+  size_t bound_;
+  std::vector<uint64_t> words_;
+  std::vector<uint64_t> summary_;
+  /// No summary word below this one is nonzero.
+  uint32_t first_ = 0;
+};
+
+/// Plans the chunks of a memory-budgeted batch around the columns that
+/// are already resident (DESIGN.md §4d).  A candidate's key is its sorted
+/// distinct non-wildcard cells, then the pattern.  A chunk grows
+/// greedily: it takes the pending candidate with the smallest (new cells
+/// that are not resident, new cells, key position) whose new cells still
+/// fit the budget, "new" meaning not yet in the chunk, and closes when
+/// none fits.
+///
+/// Candidates with the same cells are planned as one group: once one is
+/// taken the others add no cell and come next anyway.  Each (non-
+/// resident new, new) bucket is a set of group ids, which are key
+/// positions, and every pending group is filed in a bucket no larger in
+/// either count than its current one.  Only a cell joining the chunk
+/// lowers counts, so only the groups that hold it (found through a
+/// cell -> pending-groups index) are re-filed at once.  Everything else
+/// raises counts: a new chunk, an evicted column, and a column made
+/// resident.  The last holds because the only columns that turn
+/// resident between two plans are the previous chunk's, and every group
+/// holding one was re-filed when it joined that chunk, with the cell
+/// already off both counts.  A filing whose counts rose is moved when
+/// it surfaces.  Planning work thus tracks the groups a chunk's cells
+/// touch, not a scan of the batch per pick.
+class ChunkPlanner {
+ public:
+  ChunkPlanner(const std::vector<Pattern>& patterns, size_t budget_slots)
+      : budget_(budget_slots) {
+    // Each staged candidate's sorted distinct cells, flattened.
+    const size_t n = patterns.size();
+    std::vector<size_t> begin(n + 1, 0);
+    std::vector<CellId> flat;
+    for (size_t i = 0; i < n; ++i) {
+      for (CellId c : patterns[i].cells()) {
+        if (c != kWildcardCell) flat.push_back(c);
+      }
+      const auto first = flat.begin() + static_cast<ptrdiff_t>(begin[i]);
+      std::sort(first, flat.end());
+      flat.erase(std::unique(first, flat.end()), flat.end());
+      begin[i + 1] = flat.size();
+      const size_t width = begin[i + 1] - begin[i];
+      if (width > budget_) {
+        overflow_ = true;  // no chunk can ever hold this candidate
+        return;
+      }
+      width_ = std::max(width_, static_cast<uint32_t>(width));
+    }
+    const auto cells_of = [&](uint32_t i) {
+      const auto first = flat.begin();
+      return std::make_pair(first + static_cast<ptrdiff_t>(begin[i]),
+                            first + static_cast<ptrdiff_t>(begin[i + 1]));
+    };
+    members_.resize(n);
+    std::iota(members_.begin(), members_.end(), 0u);
+    std::sort(members_.begin(), members_.end(), [&](uint32_t a, uint32_t b) {
+      const auto [ab, ae] = cells_of(a);
+      const auto [bb, be] = cells_of(b);
+      if (!std::equal(ab, ae, bb, be)) {
+        return std::lexicographical_compare(ab, ae, bb, be);
+      }
+      if (patterns[a] < patterns[b]) return true;
+      if (patterns[b] < patterns[a]) return false;
+      return a < b;
+    });
+
+    // Groups are runs of equal cells in key order; their cells get dense
+    // local ids, and the incidence is stored both ways.
+    cells_ = flat;
+    std::sort(cells_.begin(), cells_.end());
+    cells_.erase(std::unique(cells_.begin(), cells_.end()), cells_.end());
+    index_begin_.assign(cells_.size() + 1, 0);
+    cell_begin_.push_back(0);
+    for (uint32_t k = 0; k < n; ++k) {
+      const auto [b, e] = cells_of(members_[k]);
+      if (k > 0) {
+        const auto [pb, pe] = cells_of(members_[k - 1]);
+        if (std::equal(b, e, pb, pe)) continue;
+      }
+      first_member_.push_back(k);
+      for (auto it = b; it != e; ++it) {
+        const uint32_t u = static_cast<uint32_t>(
+            std::lower_bound(cells_.begin(), cells_.end(), *it) -
+            cells_.begin());
+        group_cells_.push_back(u);
+        ++index_begin_[u + 1];
+      }
+      cell_begin_.push_back(static_cast<uint32_t>(group_cells_.size()));
+    }
+    const size_t groups = first_member_.size();
+    first_member_.push_back(static_cast<uint32_t>(n));
+    std::partial_sum(index_begin_.begin(), index_begin_.end(),
+                     index_begin_.begin());
+    index_end_.assign(index_begin_.begin(), index_begin_.end() - 1);
+    index_.resize(group_cells_.size());
+    for (uint32_t g = 0; g < groups; ++g) {
+      for (uint32_t j = cell_begin_[g]; j < cell_begin_[g + 1]; ++j) {
+        index_[index_end_[group_cells_[j]]++] = g;
+      }
+    }
+    resident_.assign(cells_.size(), 0);
+    in_chunk_.assign(cells_.size(), 0);
+    pending_.assign(groups, 1);
+    pending_count_ = groups;
+    buckets_.assign(static_cast<size_t>(width_ + 1) * (width_ + 1),
+                    GroupSet(groups));
+  }
+
+  /// True if some candidate alone needs more columns than the budget.
+  bool overflow() const { return overflow_; }
+  /// True once every candidate is in a planned chunk.
+  bool done() const { return pending_count_ == 0; }
+
+  /// Plans the next chunk against `cell_slot`, the slot table as it
+  /// stands now, and writes its candidates' staged indices to `chunk`.
+  void Next(const std::vector<int32_t>& cell_slot,
+            std::vector<size_t>* chunk) {
+    chunk->clear();
+    ++chunk_id_;  // the previous chunk's cells leave it
+    chunk_size_ = 0;
+    for (size_t u = 0; u < cells_.size(); ++u) {
+      resident_[u] = cell_slot[static_cast<size_t>(cells_[u])] >= 0;
+    }
+    if (chunk_id_ == 1) {
+      for (uint32_t g = 0; g < pending_.size(); ++g) Push(g);
+    }
+    while (true) {
+      const uint32_t group = PopBest();
+      if (group == kNone) break;
+      pending_[group] = 0;
+      --pending_count_;
+      for (uint32_t k = first_member_[group]; k < first_member_[group + 1];
+           ++k) {
+        chunk->push_back(members_[k]);
+      }
+      for (uint32_t j = cell_begin_[group]; j < cell_begin_[group + 1]; ++j) {
+        const uint32_t u = group_cells_[j];
+        if (in_chunk_[u] == chunk_id_) continue;
+        in_chunk_[u] = chunk_id_;
+        ++chunk_size_;
+        ForEachPending(u, [&](uint32_t g) { Push(g); });
+      }
+    }
+  }
+
+ private:
+  /// Group g's current bucket: nr * (width_ + 1) + new, which orders
+  /// buckets as their (nr, new) pairs.
+  uint32_t BucketOf(uint32_t g) const {
+    uint32_t fresh = 0, nr = 0;
+    for (uint32_t j = cell_begin_[g]; j < cell_begin_[g + 1]; ++j) {
+      const uint32_t u = group_cells_[j];
+      if (in_chunk_[u] == chunk_id_) continue;
+      ++fresh;
+      if (!resident_[u]) ++nr;
+    }
+    return nr * (width_ + 1) + fresh;
+  }
+
+  void Push(uint32_t g) { buckets_[BucketOf(g)].Insert(g); }
+
+  /// Removes and returns the pending group with the smallest key whose
+  /// new cells fit the room left, or kNone.  Buckets are scanned in key
+  /// order, each from its smallest id.  A filing whose counts rose moves
+  /// to its current bucket, which comes later in the scan; a group is
+  /// never filed above its counts, so a bucket whose new count exceeds
+  /// the room holds nothing that fits.
+  uint32_t PopBest() {
+    const uint32_t top = static_cast<uint32_t>(
+        std::min<size_t>(width_, budget_ - chunk_size_));
+    for (uint32_t nr = 0; nr <= top; ++nr) {
+      for (uint32_t fresh = nr; fresh <= top; ++fresh) {
+        const uint32_t b = nr * (width_ + 1) + fresh;
+        for (uint32_t g; (g = buckets_[b].PopMin()) != kNone;) {
+          if (!pending_[g]) continue;
+          if (BucketOf(g) == b) return g;
+          Push(g);
+        }
+      }
+    }
+    return kNone;
+  }
+
+  /// Calls f(g) for every pending group holding local cell u, dropping
+  /// planned ones from u's list on the way.
+  template <typename F>
+  void ForEachPending(uint32_t u, F&& f) {
+    uint32_t* const first = index_.data() + index_begin_[u];
+    uint32_t* const last = index_.data() + index_end_[u];
+    uint32_t* keep = first;
+    for (uint32_t* p = first; p != last; ++p) {
+      if (!pending_[*p]) continue;
+      *keep++ = *p;
+      f(*p);
+    }
+    index_end_[u] = static_cast<uint32_t>(keep - index_.data());
+  }
+
+  size_t budget_;
+  bool overflow_ = false;
+  /// Most distinct cells of any candidate.
+  uint32_t width_ = 0;
+  /// Local cell id -> CellId, ascending.
+  std::vector<CellId> cells_;
+  /// Staged indices in key order; group g is members_[first_member_[g],
+  /// first_member_[g + 1]).
+  std::vector<uint32_t> members_;
+  std::vector<uint32_t> first_member_;
+  /// Group g's local cells: group_cells_[cell_begin_[g], ...[g + 1]).
+  std::vector<uint32_t> cell_begin_;
+  std::vector<uint32_t> group_cells_;
+  /// Local cell u's pending groups: index_[index_begin_[u],
+  /// index_end_[u]), compacted as groups are planned.
+  std::vector<uint32_t> index_begin_;
+  std::vector<uint32_t> index_end_;
+  std::vector<uint32_t> index_;
+  /// Per local cell: resident when the chunk is planned; the last chunk
+  /// that took it.
+  std::vector<char> resident_;
+  std::vector<uint32_t> in_chunk_;
+  /// Per group: not yet planned.
+  std::vector<char> pending_;
+  size_t pending_count_ = 0;
+  /// Filed groups per bucket.
+  std::vector<GroupSet> buckets_;
+  uint32_t chunk_id_ = 0;
+  size_t chunk_size_ = 0;
+};
 
 }  // namespace
 
@@ -246,10 +519,11 @@ ThreadPool* NmEngine::PoolFor(int threads) const {
   return pool_.get();
 }
 
-void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
-                                       const std::vector<int32_t>& slots,
-                                       ThreadPool* pool, const RunContext* run,
-                                       std::vector<char>* done) const {
+size_t NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
+                                         const std::vector<int32_t>& slots,
+                                         ThreadPool* pool,
+                                         const RunContext* run,
+                                         std::vector<char>* done) const {
   const Grid& grid = space_.grid;
   const double delta = space_.delta;
   // First-seen-order dedup of the grid columns/rows the batch touches;
@@ -279,10 +553,10 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
   // Under run control a factor pass can be skipped mid-batch; a cell's
   // column is complete only if its grid-column factor, grid-row factor,
   // AND product pass all ran, so factor completion is tracked too.
-  std::vector<char> part_done(run != nullptr ? cols.size() + rows.size() : 0,
-                              0);
+  const size_t part_count = cols.size() + rows.size();
+  std::vector<char> part_done(run != nullptr ? part_count : 0, 0);
   ParallelFor(
-      pool, cols.size() + rows.size(),
+      pool, part_count,
       [&](size_t i, int) {
         if (i < cols.size()) {
           const double cx = grid.CenterOf(grid.At(cols[i], 0)).x;
@@ -321,6 +595,10 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
         if (done != nullptr) (*done)[i] = 1;
       },
       run);
+  return run == nullptr
+             ? part_count
+             : static_cast<size_t>(
+                   std::count(part_done.begin(), part_done.end(), 1));
 }
 
 size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
@@ -401,8 +679,9 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   // which columns finished before a stop.
   std::vector<char> done(missing.size(), run == nullptr ? 1 : 0);
   if (space_.model == IndifferenceModel::kRectangular) {
-    WarmRectangularFactored(missing, slots, pool, run,
-                            run == nullptr ? nullptr : &done);
+    ws.factor_passes = WarmRectangularFactored(
+        missing, slots, pool, run, run == nullptr ? nullptr : &done);
+    TP_COUNTER_ADD("nm.factor_passes", ws.factor_passes);
   } else {
     const int lanes = pool == nullptr ? 1 : pool->size();
     std::vector<std::vector<double>> scratch(static_cast<size_t>(lanes));
@@ -464,70 +743,53 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     }
   }
 
-  // Chunking: with a memory budget the batch is split so each chunk's
-  // distinct-cell working set fits the arena budget (boundaries are a
-  // pure function of the pattern list and the budget — deterministic);
-  // without one the whole batch is one chunk, the exact pre-budget
-  // code path.
-  std::vector<std::pair<size_t, size_t>> chunks;
-  if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
-    const size_t budget_slots =
-        static_cast<size_t>(run->memory_budget_bytes / column_bytes());
-    std::unordered_set<CellId> chunk_cells;
-    std::vector<CellId> pat_cells;
-    size_t begin = 0;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      pat_cells.clear();
-      for (size_t j = 0; j < patterns[i].length(); ++j) {
-        const CellId c = patterns[i][j];
-        if (c == kWildcardCell) continue;
-        if (std::find(pat_cells.begin(), pat_cells.end(), c) ==
-            pat_cells.end()) {
-          pat_cells.push_back(c);
-        }
-      }
-      if (pat_cells.size() > budget_slots) {
-        // A single pattern overflows the budget by itself: no chunking
-        // or eviction can ever score it.
-        out_stats.stop = StopReason::kMemoryBudgetExceeded;
-        if (stats != nullptr) *stats = out_stats;
-        return out;
-      }
-      size_t newly = 0;
-      for (CellId c : pat_cells) {
-        if (chunk_cells.count(c) == 0) ++newly;
-      }
-      if (i > begin && chunk_cells.size() + newly > budget_slots) {
-        chunks.emplace_back(begin, i);
-        chunk_cells.clear();
-        begin = i;
-      }
-      for (CellId c : pat_cells) chunk_cells.insert(c);
+  // Chunking: with a memory budget the planner cuts the batch into
+  // chunks whose cells fit the budget, each planned against the columns
+  // the previous chunk's warm-up left resident; without one the whole
+  // batch is one chunk, the exact pre-budget code path.
+  const bool budgeted =
+      run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0;
+  std::unique_ptr<ChunkPlanner> planner;
+  std::vector<size_t> chunk;
+  WallTimer timer;
+  if (budgeted) {
+    {
+      TP_TRACE_SPAN("nm/warmup");
+      planner = std::make_unique<ChunkPlanner>(
+          patterns,
+          static_cast<size_t>(run->memory_budget_bytes / column_bytes()));
     }
-    chunks.emplace_back(begin, patterns.size());
+    out_stats.warmup_seconds += timer.Seconds();
+    if (planner->overflow()) {
+      // A single pattern overflows the budget by itself: no chunking or
+      // eviction can ever score it.
+      out_stats.stop = StopReason::kMemoryBudgetExceeded;
+      if (stats != nullptr) *stats = out_stats;
+      return out;
+    }
   } else {
-    chunks.emplace_back(0, patterns.size());
+    chunk.resize(patterns.size());
+    std::iota(chunk.begin(), chunk.end(), size_t{0});
   }
-  out_stats.chunks = static_cast<int>(chunks.size());
+  out_stats.chunks = 0;
 
   ThreadPool* pool = PoolFor(threads);
   std::vector<int64_t> skipped(patterns.size(), 0);
   std::vector<const double*> cols;
   std::vector<size_t> col_begin;
   size_t scored = 0;
-  WallTimer timer;
-  for (const auto& chunk : chunks) {
-    const size_t cb = chunk.first;
-    const size_t ce = chunk.second;
+  do {
     timer.Reset();
     bool warm_stopped = false;
     {
       // Warm-up: every column any candidate of the chunk needs exists
       // before a worker runs, so the scoring region below only reads
-      // the arena.
+      // the arena.  Planning is cache scheduling and is timed with it.
       TP_TRACE_SPAN("nm/warmup");
+      if (planner != nullptr) planner->Next(cell_slot_, &chunk);
+      ++out_stats.chunks;
       std::vector<CellId> needed;
-      for (size_t i = cb; i < ce; ++i) {
+      for (size_t i : chunk) {
         for (size_t j = 0; j < patterns[i].length(); ++j) {
           needed.push_back(patterns[i][j]);
         }
@@ -536,6 +798,7 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
       out_stats.cells_warmed += WarmCells(needed, threads, &ws, run);
       out_stats.cells_hit += ws.hits;
       out_stats.cells_evicted += ws.evicted;
+      out_stats.factor_passes += ws.factor_passes;
       TP_COUNTER_ADD("nm.warmup_hits", ws.hits);
       TP_COUNTER_ADD("nm.warmup_misses", ws.misses);
       if (ws.stop != StopReason::kNone) {
@@ -551,26 +814,27 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
       TP_TRACE_SPAN("nm/scoring");
       // Every candidate's column pointers, resolved once for the chunk.
       cols.clear();
-      col_begin.resize(ce - cb);
-      for (size_t i = cb; i < ce; ++i) {
-        col_begin[i - cb] = cols.size();
-        for (size_t j = 0; j < patterns[i].length(); ++j) {
-          cols.push_back(CachedColumn(patterns[i][j]));
+      col_begin.resize(chunk.size());
+      for (size_t k = 0; k < chunk.size(); ++k) {
+        col_begin[k] = cols.size();
+        const Pattern& p = patterns[chunk[k]];
+        for (size_t j = 0; j < p.length(); ++j) {
+          cols.push_back(CachedColumn(p[j]));
         }
       }
       if (kernel_ == WindowKernel::kGather) {
         ParallelFor(
-            pool, ce - cb,
-            [&, cb](size_t i, int) {
-              const Pattern& p = patterns[cb + i];
-              const double* const* c = cols.data() + col_begin[i];
-              out[cb + i] = measure == Measure::kNm
-                                ? NmTotalResolved(p, c)
-                                : MatchTotalResolved(p, c);
+            pool, chunk.size(),
+            [&](size_t k, int) {
+              const Pattern& p = patterns[chunk[k]];
+              const double* const* c = cols.data() + col_begin[k];
+              out[chunk[k]] = measure == Measure::kNm
+                                  ? NmTotalResolved(p, c)
+                                  : MatchTotalResolved(p, c);
             },
             run);
       } else {
-        ScoreTiled(patterns, cb, ce, cols.data(), col_begin.data(), measure,
+        ScoreTiled(patterns, chunk, cols.data(), col_begin.data(), measure,
                    prune_below, pool, run, out.data(), skipped.data());
       }
     }
@@ -583,14 +847,14 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
       }
     }
     // The chunk completed: only now do its candidates count as scored.
-    scored += ce - cb;
-    for (size_t i = cb; i < ce; ++i) {
+    scored += chunk.size();
+    for (size_t i : chunk) {
       if (skipped[i] > 0) {
         ++out_stats.candidates_pruned;
         out_stats.trajectories_skipped += skipped[i];
       }
     }
-  }
+  } while (planner != nullptr && !planner->done());
   num_pattern_evaluations_ += static_cast<int64_t>(scored);
   TP_COUNTER_ADD("nm.cells_warmed", out_stats.cells_warmed);
   TP_COUNTER_ADD("nm.candidates_scored", scored);
@@ -624,22 +888,22 @@ struct TileScratch {
 
 }  // namespace
 
-void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
-                          size_t end, const double* const* cols,
-                          const size_t* col_begin, Measure measure,
-                          double prune_below, ThreadPool* pool,
-                          const RunContext* run, double* out,
+void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns,
+                          const std::vector<size_t>& chunk,
+                          const double* const* cols, const size_t* col_begin,
+                          Measure measure, double prune_below,
+                          ThreadPool* pool, const RunContext* run, double* out,
                           int64_t* skipped) const {
   const bool nm = measure == Measure::kNm;
   const bool prune = nm && prune_below > kNoPruning;
   const size_t n = data_->size();
-  const size_t count = end - begin;
-  // Sorted order: the candidates one high pattern was joined into sit
-  // side by side and share that pattern's prefix rows.
+  const size_t count = chunk.size();
+  // Sorted order of chunk positions: the candidates one high pattern was
+  // joined into sit side by side and share that pattern's prefix rows.
   std::vector<size_t> order(count);
-  std::iota(order.begin(), order.end(), begin);
+  std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return patterns[a] < patterns[b];
+    return patterns[chunk[a]] < patterns[chunk[b]];
   });
   // Per sorted slot: the last specified position (m if none), the NM
   // normalizer, the running total, and whether scoring is over (an
@@ -650,7 +914,7 @@ void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
   std::vector<char> done(count, 0);
   size_t depth = 0;  // prefix rows the batch needs
   for (size_t s = 0; s < count; ++s) {
-    const Pattern& p = patterns[order[s]];
+    const Pattern& p = patterns[chunk[order[s]]];
     const size_t m = p.length();
     last[s] = LastSpecified(p);
     spec[s] = static_cast<double>(p.SpecifiedCount());
@@ -682,8 +946,8 @@ void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
           ts.built.clear();
           for (size_t s = sb; s < se; ++s) {
             if (done[s]) continue;
-            const Pattern& p = patterns[order[s]];
-            const double* const* c = cols + col_begin[order[s] - begin];
+            const Pattern& p = patterns[chunk[order[s]]];
+            const double* const* c = cols + col_begin[order[s]];
             const size_t m = p.length();
             const size_t l = last[s];
             // Prefix rows the fused scan of position l reads: none for an
@@ -731,7 +995,7 @@ void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
               // non-increasing upper bound on the final total: once it
               // is below the threshold it can never climb back.
               if (prune && sum < prune_below && i + 1 < n) {
-                skipped[order[s]] = static_cast<int64_t>(n - i - 1);
+                skipped[chunk[order[s]]] = static_cast<int64_t>(n - i - 1);
                 done[s] = 1;
                 break;
               }
@@ -741,7 +1005,7 @@ void NmEngine::ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
         }
       },
       run);
-  for (size_t s = 0; s < count; ++s) out[order[s]] = total[s];
+  for (size_t s = 0; s < count; ++s) out[chunk[order[s]]] = total[s];
 }
 
 std::vector<double> NmEngine::NmTotalBatch(const std::vector<Pattern>& patterns,

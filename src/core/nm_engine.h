@@ -43,8 +43,14 @@ struct BatchScoreStats {
   int64_t trajectories_skipped = 0;
   /// Arena columns shed (LRU) to keep the run under its memory budget.
   size_t cells_evicted = 0;
-  /// Sub-batches the call was split into to fit the budget (1 == the
-  /// whole batch ran as one chunk, the no-budget fast path).
+  /// 1-D interval-probability passes (one per distinct grid column or
+  /// row) the warm-ups ran: the erfc-bound share of warming.
+  size_t factor_passes = 0;
+  /// Chunks the call planned to fit the budget (1 == the whole batch ran
+  /// as one chunk, the no-budget fast path).  Chunk boundaries are a
+  /// pure function of the pattern list, the budget and the resident set,
+  /// and the resident set is itself a pure function of the request
+  /// history, so this count does not depend on the thread count.
   int chunks = 1;
   /// Why the call stopped early (`kNone` == it completed).  When set,
   /// `out[i]` is only valid for items the call finished before the stop
@@ -185,11 +191,19 @@ class NmEngine {
   /// phases, and a non-zero `memory_budget_bytes` caps the column
   /// arena — the call splits the batch into chunks whose working sets
   /// fit the budget and sheds least-recently-used columns between
-  /// chunks.  Chunk boundaries are a
-  /// pure function of the pattern list and the budget, and every chunk
-  /// uses the serial reduction order, so budgeted results stay
-  /// bit-identical to unbudgeted ones.  On an early stop the call
-  /// returns with `stats->stop` set and the output must be discarded.
+  /// chunks.  Each chunk is planned right after the previous chunk's
+  /// warm-up, greedily around the columns resident then, so a batch
+  /// staged in scattered order still re-warms few columns (DESIGN.md
+  /// §4d).  Chunk boundaries are a pure function of the pattern list,
+  /// the budget and the resident set; the resident set is itself a pure
+  /// function of the request history, so chunking does not depend on
+  /// the thread count.  Scores are per candidate and every chunk uses
+  /// the serial reduction order, so budgeted results stay bit-identical
+  /// to unbudgeted ones, returned in the staged order.  A pattern whose
+  /// distinct cells alone overflow the budget stops the call with
+  /// `kMemoryBudgetExceeded` before anything is scored.  On an early
+  /// stop the call returns with `stats->stop` set and the output must
+  /// be discarded.
   /// The `nm.candidates_scored` counter and `num_pattern_evaluations()`
   /// advance by a chunk's candidates only once that chunk completed, so
   /// after a stopped mine `nm.candidates_scored` equals the miner's
@@ -223,6 +237,9 @@ class NmEngine {
     /// Columns shed (LRU, excluding ones this request touched) to fit
     /// the run's memory budget.
     size_t evicted = 0;
+    /// Distinct grid-column and grid-row `NormalIntervalProbBatch`
+    /// passes the fill ran (0 under the radial model).
+    size_t factor_passes = 0;
     /// Why the warm-up stopped early (`kNone` == it completed).  On a
     /// stop nothing half-filled is published: columns that finished
     /// before the stop are installed, the rest stay cold, and the
@@ -329,10 +346,11 @@ class NmEngine {
   /// it and `done[i]` records whether cell i's column was fully
   /// computed (its grid-column factor, grid-row factor, and product
   /// pass all completed); without `run`, every column completes.
-  void WarmRectangularFactored(const std::vector<CellId>& missing,
-                               const std::vector<int32_t>& slots,
-                               ThreadPool* pool, const RunContext* run,
-                               std::vector<char>* done) const;
+  /// Returns the number of factor passes that ran.
+  size_t WarmRectangularFactored(const std::vector<CellId>& missing,
+                                 const std::vector<int32_t>& slots,
+                                 ThreadPool* pool, const RunContext* run,
+                                 std::vector<char>* done) const;
 
   /// Base pointer of the column in `slot`.
   const double* ColumnBase(int32_t slot) const {
@@ -363,21 +381,22 @@ class NmEngine {
   double NmTotalResolved(const Pattern& p, const double* const* cols) const;
   double MatchTotalResolved(const Pattern& p, const double* const* cols) const;
 
-  /// Shared body of the two batch entry points: chunking, warm-up, then
-  /// `ScoreTiled` (or the per-candidate gather reference).
+  /// Shared body of the two batch entry points: chunk planning, warm-up,
+  /// then `ScoreTiled` (or the per-candidate gather reference).  Scores
+  /// land at the candidates' staged positions.
   std::vector<double> ScoreBatch(const std::vector<Pattern>& patterns,
                                  int num_threads, BatchScoreStats* stats,
                                  double prune_below, Measure measure,
                                  const RunContext* run) const;
 
   /// The tiled, prefix-sharing batch kernel over the warmed candidates
-  /// [begin, end) of `patterns`; `cols + col_begin[i - begin]` holds
-  /// candidate i's resolved columns.  Writes out[i], and the trajectory
-  /// evaluations an ω-abandon skipped to skipped[i].  Each worker takes
-  /// a contiguous run of the sorted order; workers poll `run` between
-  /// tiles.  See DESIGN.md §4d.
-  void ScoreTiled(const std::vector<Pattern>& patterns, size_t begin,
-                  size_t end, const double* const* cols,
+  /// `patterns[chunk[k]]`; `cols + col_begin[k]` holds candidate
+  /// chunk[k]'s resolved columns.  Writes out[chunk[k]], and the
+  /// trajectory evaluations an ω-abandon skipped to skipped[chunk[k]].
+  /// Each worker takes a contiguous run of the sorted order; workers
+  /// poll `run` between tiles.  See DESIGN.md §4d.
+  void ScoreTiled(const std::vector<Pattern>& patterns,
+                  const std::vector<size_t>& chunk, const double* const* cols,
                   const size_t* col_begin, Measure measure,
                   double prune_below, ThreadPool* pool, const RunContext* run,
                   double* out, int64_t* skipped) const;

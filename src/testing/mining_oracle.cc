@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -427,6 +428,100 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
           fail("warm-order divergence on " + scorable[i].ToString() + " (" +
                std::to_string(threads) + " threads, shuffled warm): " +
                Hex(got[i]) + " vs " + Hex(want[i]));
+          return report;
+        }
+      }
+    }
+  }
+
+  // --- Oracle (f), budgeted mining: a budget of about half the
+  // alphabet's columns forces chunk planning and LRU eviction, which
+  // may change the arena's size and nothing else.  The budget still
+  // holds the widest candidate, so no run stops on it.
+  if (!alphabet.empty()) {
+    report.budget_checked = true;
+    std::vector<Pattern> scorable;
+    size_t widest = inst.max_pattern_length == 0
+                        ? alphabet.size()
+                        : std::min(inst.max_pattern_length, alphabet.size());
+    for (const Pattern& p : SamplePatterns(inst, alphabet)) {
+      if (!NmEngine::ValidateScorable(p).ok()) continue;
+      scorable.push_back(p);
+      std::vector<CellId> cells = p.cells();
+      std::sort(cells.begin(), cells.end());
+      cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+      cells.erase(std::remove(cells.begin(), cells.end(), kWildcardCell),
+                  cells.end());
+      widest = std::max(widest, cells.size());
+    }
+    const uint64_t budget =
+        std::max(alphabet.size() / 2, widest) *
+        static_cast<uint64_t>(NmEngine(data, space).column_bytes());
+    for (const int threads : {1, inst.num_threads}) {
+      MinerOptions opt = base;
+      opt.num_threads = threads;
+      opt.run.memory_budget_bytes = budget;
+      NmEngine engine(data, space);
+      const MiningResult budgeted = MineTrajPatterns(engine, opt);
+      ++report.mining_runs;
+      const std::string what =
+          "budgeted (" + std::to_string(threads) + " threads)";
+      std::string diff;
+      if (budgeted.stats.aborted) {
+        diff = what + " mine stopped: " +
+               StopReasonName(budgeted.stats.stop_reason);
+      }
+      if (diff.empty()) {
+        diff = DiffTopK(what + " vs unbudgeted top-k", budgeted.patterns,
+                        ref.patterns);
+      }
+      if (diff.empty() && budgeted.stats.candidates_evaluated !=
+                              ref.stats.candidates_evaluated) {
+        diff = what + " candidates_evaluated " +
+               std::to_string(budgeted.stats.candidates_evaluated) + " vs " +
+               std::to_string(ref.stats.candidates_evaluated);
+      }
+      if (diff.empty() && engine.arena_peak_bytes() > budget) {
+        diff = what + " arena peak " +
+               std::to_string(engine.arena_peak_bytes()) + " over budget " +
+               std::to_string(budget);
+      }
+      if (!diff.empty()) {
+        fail(diff);
+        return report;
+      }
+    }
+
+    // The batch API under the budget, over a shuffled copy of the
+    // samples: every score lands at its own position, bit-identical.
+    const std::vector<double> want =
+        NmEngine(data, space).NmTotalBatch(scorable, 1);
+    std::vector<size_t> perm(scorable.size());
+    std::iota(perm.begin(), perm.end(), size_t{0});
+    Rng rng(inst.seed ^ 0x2c1b3c6du);
+    for (size_t i = perm.size(); i > 1; --i) {
+      std::swap(perm[i - 1], perm[static_cast<size_t>(
+                                 rng.UniformInt(0, static_cast<int>(i) - 1))]);
+    }
+    std::vector<Pattern> shuffled;
+    for (size_t i : perm) shuffled.push_back(scorable[i]);
+    for (const int threads : {1, inst.num_threads}) {
+      NmEngine engine(data, space);
+      RunContext run;
+      run.memory_budget_bytes = budget;
+      BatchScoreStats stats;
+      const std::vector<double> got = engine.NmTotalBatch(
+          shuffled, threads, &stats, NmEngine::kNoPruning, &run);
+      if (stats.stop != StopReason::kNone) {
+        fail("budgeted NmTotalBatch(" + std::to_string(threads) +
+             ") stopped: " + StopReasonName(stats.stop));
+        return report;
+      }
+      for (size_t i = 0; i < shuffled.size(); ++i) {
+        if (!BitEq(got[i], want[perm[i]])) {
+          fail("budgeted NmTotalBatch(" + std::to_string(threads) +
+               ") vs unbudgeted on " + shuffled[i].ToString() + ": " +
+               Hex(got[i]) + " vs " + Hex(want[perm[i]]));
           return report;
         }
       }

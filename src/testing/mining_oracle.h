@@ -19,6 +19,7 @@ struct OracleReport {
   bool brute_force_checked = false;
   bool ingestion_checked = false;
   bool warm_order_checked = false;
+  bool budget_checked = false;
   /// Full miner executions performed.
   int mining_runs = 0;
 
@@ -27,7 +28,7 @@ struct OracleReport {
 
 /// The differential correctness harness of the scoring/checkpoint/
 /// validation stack.  One `Check` call cross-examines an instance with
-/// four oracle families, every one of which the production code promises
+/// six oracle families, every one of which the production code promises
 /// to pass *bit-identically*:
 ///
 ///  (a) kernels: a whole mine on the tiled batch kernel vs the same mine
@@ -49,6 +50,11 @@ struct OracleReport {
 ///      orders and on different thread counts score bit-identically to
 ///      one warmed in canonical order on one thread, and re-warming the
 ///      resident set materializes nothing (the incremental contract).
+///  (f) budgets: mines at 1 and N threads under a memory budget of
+///      about half the alphabet's columns return the unbudgeted top-k
+///      and `candidates_evaluated` with the arena peak within budget,
+///      and a budgeted `NmTotalBatch` over shuffled samples scores each
+///      one bit-identically to the unbudgeted call.
 ///
 /// Ingestion-bearing instances additionally check the synchronizer's
 /// order-independence (a report stream is a *set* of fixes: raw order

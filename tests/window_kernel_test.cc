@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -467,6 +468,166 @@ TEST(WindowKernelTest, TiledBatchUnderMemoryBudgetIsBitIdentical) {
                  want_match));
     EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
   }
+}
+
+TEST(WindowKernelTest, BudgetPlannerWarmsInterleavedDisjointGroupsOnce) {
+  // Two disjoint groups of exactly `budget` cells, their candidates
+  // interleaved in staged order.  Cutting the batch in staged order
+  // would mix the groups in every chunk and re-warm them over and over;
+  // the planner fills one chunk per group and warms each cell once.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(4);
+  NmEngine reference(d, space);
+  const std::vector<CellId> cells = reference.TouchedCells();
+  constexpr size_t kBudget = 5;
+  ASSERT_GE(cells.size(), 2 * kBudget);
+  std::vector<Pattern> batch;
+  for (size_t i = 0; i < kBudget; ++i) {
+    for (size_t group = 0; group < 2; ++group) {
+      const CellId* g = cells.data() + group * kBudget;
+      batch.push_back(Pattern(std::vector<CellId>{g[i], g[(i + 1) % kBudget]}));
+      batch.push_back(Pattern(
+          std::vector<CellId>{g[(i + 2) % kBudget], kWildcardCell, g[i]}));
+    }
+  }
+  const std::vector<double> want = reference.NmTotalBatch(batch, 1);
+
+  NmEngine engine(d, space);
+  RunContext run;
+  run.memory_budget_bytes = kBudget * engine.column_bytes();
+  BatchScoreStats stats;
+  EXPECT_TRUE(BitEqual(
+      engine.NmTotalBatch(batch, 1, &stats, NmEngine::kNoPruning, &run),
+      want));
+  EXPECT_EQ(stats.stop, StopReason::kNone);
+  EXPECT_EQ(stats.chunks, 2);
+  EXPECT_EQ(stats.cells_warmed, 2 * kBudget);
+  EXPECT_EQ(stats.cells_evicted, kBudget);
+  EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
+}
+
+TEST(WindowKernelTest, BudgetedShuffledBatchMatchesUnbudgetedBitwise) {
+  // Chunking is scheduling only: a shuffled batch under a budget scores
+  // every candidate, pruned or exact, bit-identically to the unbudgeted
+  // call, at its own staged position, at any thread count.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(6);
+  NmEngine reference(d, space);
+  std::vector<Pattern> batch = TiledBatch(reference, 12);
+  batch.resize(70);
+  std::vector<size_t> perm(batch.size());
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  Rng rng(21);
+  for (size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[static_cast<size_t>(rng.UniformInt(
+                               0, static_cast<int>(i) - 1))]);
+  }
+  std::vector<Pattern> shuffled;
+  for (size_t i : perm) shuffled.push_back(batch[i]);
+  const std::vector<double> exact = reference.NmTotalBatch(batch, 1);
+  std::vector<double> sorted = exact;
+  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
+  const double omega = sorted[sorted.size() / 3];
+
+  for (const double prune_below : {NmEngine::kNoPruning, omega}) {
+    BatchScoreStats want_stats;
+    const std::vector<double> want =
+        reference.NmTotalBatch(batch, 1, &want_stats, prune_below);
+    if (prune_below == omega) ASSERT_GT(want_stats.candidates_pruned, 0u);
+    for (int threads : {1, 4}) {
+      NmEngine engine(d, space);
+      RunContext run;
+      run.memory_budget_bytes = 8 * engine.column_bytes();
+      BatchScoreStats stats;
+      const std::vector<double> got =
+          engine.NmTotalBatch(shuffled, threads, &stats, prune_below, &run);
+      ASSERT_EQ(stats.stop, StopReason::kNone);
+      EXPECT_GT(stats.chunks, 1);
+      for (size_t i = 0; i < shuffled.size(); ++i) {
+        EXPECT_TRUE(BitEqual(got[i], want[perm[i]]))
+            << shuffled[i].ToString() << " at " << threads << " threads";
+      }
+      EXPECT_EQ(stats.candidates_pruned, want_stats.candidates_pruned);
+      EXPECT_EQ(stats.trajectories_skipped, want_stats.trajectories_skipped);
+      EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
+    }
+  }
+}
+
+TEST(WindowKernelTest, PatternOverflowingTheBudgetStopsTheBatch) {
+  // Three distinct cells against a two-column budget: no plan can hold
+  // the pattern, so the call stops typed before anything is scored.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(4);
+  NmEngine engine(d, space);
+  const std::vector<CellId> cells = engine.TouchedCells();
+  ASSERT_GE(cells.size(), 3u);
+  const std::vector<Pattern> batch = {
+      Pattern(std::vector<CellId>{cells[0], cells[1]}),
+      Pattern(std::vector<CellId>{cells[0], cells[1], cells[2]}),
+      Pattern(cells[2]),
+  };
+  RunContext run;
+  run.memory_budget_bytes = 2 * engine.column_bytes();
+  BatchScoreStats stats;
+  engine.NmTotalBatch(batch, 1, &stats, NmEngine::kNoPruning, &run);
+  EXPECT_EQ(stats.stop, StopReason::kMemoryBudgetExceeded);
+  EXPECT_EQ(stats.cells_warmed, 0u);
+  EXPECT_EQ(engine.num_pattern_evaluations(), 0);
+  EXPECT_EQ(engine.num_cached_cells(), 0u);
+}
+
+TEST(WindowKernelTest, BudgetPlanDoesNotDependOnThreadCount) {
+  // Plans follow the resident set, which follows the request history
+  // alone: a run of budgeted batches warms, evicts and chunks the same
+  // at 1 and 8 threads.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = TiledData(5);
+  NmEngine serial(d, space);
+  NmEngine threaded(d, space);
+  RunContext run;
+  run.memory_budget_bytes = 9 * serial.column_bytes();
+  size_t warmed = 0;
+  for (uint64_t seed : {31, 32, 33}) {
+    std::vector<Pattern> batch = TiledBatch(serial, seed);
+    batch.resize(50);
+    BatchScoreStats one, eight;
+    const std::vector<double> a =
+        serial.NmTotalBatch(batch, 1, &one, NmEngine::kNoPruning, &run);
+    const std::vector<double> b =
+        threaded.NmTotalBatch(batch, 8, &eight, NmEngine::kNoPruning, &run);
+    EXPECT_TRUE(BitEqual(a, b)) << "seed " << seed;
+    EXPECT_EQ(one.cells_warmed, eight.cells_warmed) << "seed " << seed;
+    EXPECT_EQ(one.cells_evicted, eight.cells_evicted) << "seed " << seed;
+    EXPECT_EQ(one.chunks, eight.chunks) << "seed " << seed;
+    EXPECT_EQ(one.factor_passes, eight.factor_passes) << "seed " << seed;
+    warmed += one.cells_warmed;
+  }
+  EXPECT_GT(warmed, 9u);
+}
+
+TEST(WindowKernelTest, FactorPassesCountDistinctGridColumnsAndRows) {
+  // One NormalIntervalProbBatch pass per distinct grid column and row
+  // among the missing cells; a resident re-warm runs none.
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = UniformData(5, 8, 3);
+  NmEngine engine(d, space);
+  const Grid& g = space.grid;
+  NmEngine::WarmStats ws;
+  EXPECT_EQ(engine.WarmCells({g.At(0, 0), g.At(0, 1), g.At(1, 0), g.At(1, 0)},
+                             1, &ws),
+            3u);
+  EXPECT_EQ(ws.factor_passes, 4u);  // columns {0, 1} and rows {0, 1}
+  EXPECT_EQ(engine.WarmCells({g.At(0, 0), g.At(4, 4)}, 1, &ws), 1u);
+  EXPECT_EQ(ws.factor_passes, 2u);
+  EXPECT_EQ(engine.WarmCells({g.At(4, 4)}, 1, &ws), 0u);
+  EXPECT_EQ(ws.factor_passes, 0u);
+
+  BatchScoreStats stats;
+  engine.NmTotalBatch({Pattern(std::vector<CellId>{g.At(2, 3), g.At(2, 5)})},
+                      1, &stats);
+  EXPECT_EQ(stats.cells_warmed, 2u);
+  EXPECT_EQ(stats.factor_passes, 3u);  // column 2, rows {3, 5}
 }
 
 TEST(WindowKernelTest, TiledPruningAbandonsWhereAPerTrajectoryScanWould) {
